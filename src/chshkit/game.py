@@ -17,14 +17,12 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .linalg import tensor
+from .linalg import substream, tensor
 from .tsirelson import QuantumSetup
 
 BOX_SUM_TOL = 1e-10
 NO_SIGNALING_TOL = 1e-9
 _ENTRY_SLACK = 1e-12
-
-_UINT64_MASK = (1 << 64) - 1
 
 #: Rounds per Monte Carlo chunk.  Chunk ``c`` draws from a substream keyed by
 #: ``(seed, c)``, so output is identical however chunks are scheduled.
@@ -375,10 +373,7 @@ def _outcome_cumulatives(box: np.ndarray) -> np.ndarray:
 
 
 def _simulate_chunk(cum: np.ndarray, seed: int, chunk_index: int, count: int):
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed & _UINT64_MASK, chunk_index], dtype=np.uint64))
-    )
-    u = rng.random((2, count))
+    u = substream(seed, chunk_index).random((2, count))
     setting = np.minimum((u[0] * 4.0).astype(np.int8), 3)
     outcome = (cum[setting] < u[1][:, None]).sum(axis=1).astype(np.int8)
     return setting >> 1, setting & 1, outcome >> 1, outcome & 1
@@ -396,8 +391,6 @@ def simulate_rounds(strategy: Strategy, n: int, seed: int, workers: int = 1) -> 
     if n < 1:
         raise ValueError("n must be at least 1")
     seed = int(seed)
-    if not 0 <= seed <= _UINT64_MASK:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
     cum = _outcome_cumulatives(box_of_strategy(strategy))
     counts = [(i, min(CHUNK_ROUNDS, n - start)) for i, start in enumerate(range(0, n, CHUNK_ROUNDS))]
     if workers > 1:

@@ -8,6 +8,8 @@ double precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Practical cap on matrix dimensions; every object in this package is tiny.
@@ -19,6 +21,34 @@ UNITARY_TOL = 1e-10
 
 HERMITIAN_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
+
+_UINT64_MAX = (1 << 64) - 1
+
+
+def substream(seed: int, k: int) -> np.random.Generator:
+    """Counter-based generator for substream ``k`` of ``seed``.
+
+    Every seeded routine draws its randomness here, keyed by ``(seed, k)``
+    for its own counter ``k`` (a chunk or a restart), so a result depends
+    only on the seed and never on how the work is scheduled.  Seeds must lie
+    in [0, 2**64); anything else is rejected rather than wrapped.
+    """
+    seed = int(seed)
+    if not 0 <= seed <= _UINT64_MAX:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+
+
+def as_tolerance(tol) -> float:
+    """Validate a search or acceptance tolerance: finite and positive.
+
+    A NaN tolerance would make every ``> tol`` test false, so a search would
+    never stop and an acceptance test would accept anything.
+    """
+    value = float(tol)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return value
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:

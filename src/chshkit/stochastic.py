@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, assert_unitary
+from .linalg import UNITARY_TOL, as_tolerance, assert_unitary, substream
 
 COLUMN_SUM_TOL = 1e-10
 ENTRY_SLACK = 1e-12
@@ -20,8 +20,6 @@ ENTRY_SLACK = 1e-12
 #: Division events are only ever defined up to a working precision; callers
 #: may widen or tighten this.
 DIVISION_TOL = 1e-8
-
-_UINT64_MASK = (1 << 64) - 1
 
 
 def as_stochastic_matrix(gamma, name: str = "gamma", col_tol: float = COLUMN_SUM_TOL) -> np.ndarray:
@@ -102,6 +100,7 @@ def divide_report(gamma_total, gamma_first, tol: float = DIVISION_TOL) -> Divisi
     the least-squares solve lands on is returned (the output is not
     canonical).
     """
+    tol = as_tolerance(tol)
     gt = as_stochastic_matrix(gamma_total, "gamma_total")
     gf = as_stochastic_matrix(gamma_first, "gamma_first")
     if gt.shape[1] != gf.shape[1]:
@@ -164,6 +163,7 @@ def dilation_report(
     An empty result is a search failure, never a proof that no dilation
     exists.
     """
+    tol = as_tolerance(tol)
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"gamma must be square, got shape {g.shape}")
@@ -177,10 +177,7 @@ def dilation_report(
     roots = np.sqrt(np.clip(g, 0.0, None))
     best_overall = np.inf
     for restart in range(max_restarts):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed & _UINT64_MASK, restart], dtype=np.uint64))
-        )
-        m = roots * np.exp(2j * np.pi * rng.random(g.shape))
+        m = roots * np.exp(2j * np.pi * substream(seed, restart).random(g.shape))
         best = np.inf
         checkpoint = np.inf
         for iteration in range(max_iterations):

@@ -1,6 +1,6 @@
 """Quantum-side machinery for the game: preparation unitaries, outcome
 observables, dichotomic observables, the CHSH operator, the score ceiling,
-and a derivative-free optimizer that saturates it.
+and a seesaw optimizer that saturates it.
 
 Scores here are operator expectations: one quarter of the expectation of the
 CHSH operator in the shared state.  The same number is reachable through the
@@ -17,9 +17,12 @@ import numpy as np
 
 from .linalg import (
     as_state_vector,
+    as_tolerance,
     assert_unitary,
     basis_state,
     haar_unitary,
+    rotation,
+    substream,
     tensor,
 )
 
@@ -31,9 +34,6 @@ TSIRELSON_SCORE = 1.0 / math.sqrt(2.0)
 
 #: Spectral-norm ceiling of the CHSH operator.
 CHSH_OPERATOR_CEILING = 2.0 * math.sqrt(2.0)
-
-_UINT64_MASK = (1 << 64) - 1
-
 
 def _as_outcome_map(values, dim: int, name: str) -> tuple[int, ...]:
     out = tuple(int(b) for b in values)
@@ -202,217 +202,66 @@ def random_setup(dims: tuple[int, int], rng: np.random.Generator) -> QuantumSetu
 # --------------------------------------------------------------------------
 
 
-def _ry(beta: float) -> np.ndarray:
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _local_dichotomic(u: np.ndarray, outcome_map: tuple[int, ...]) -> np.ndarray:
+    """One side's +-1 observable on its own space: ``u^dag S u`` for the outcome signs ``S``."""
+    signs = 1.0 - 2.0 * np.array(outcome_map)
+    return u.conj().T @ (signs[:, None] * u)
 
 
-def _rz(gamma: float) -> np.ndarray:
-    return np.array(
-        [[complex(math.cos(-gamma / 2.0), math.sin(-gamma / 2.0)), 0.0],
-         [0.0, complex(math.cos(gamma / 2.0), math.sin(gamma / 2.0))]],
-        dtype=complex,
-    )
+def _best_response(m: np.ndarray, outcome_map: tuple[int, ...], diagonal: bool):
+    """Local unitary whose observable maximizes ``Tr(A m)``, and that maximum.
 
-
-def _schmidt_coefficients(angles: np.ndarray) -> np.ndarray:
-    """Hyperspherical parameterization of a real unit vector of length len(angles)+1."""
-    m = angles.shape[0] + 1
-    c = np.ones(m)
-    for k, a in enumerate(angles):
-        c[k] *= math.cos(a)
-        c[k + 1 :] *= math.sin(a)
-    return c
-
-
-def _phased_givens_unitary(dim: int, thetas, phis, diag_phases) -> np.ndarray:
-    """Product of phased plane rotations times a diagonal phase matrix.
-
-    Standard QR-style parameterization: it reaches every unitary of the given
-    dimension as the parameters range over the reals.
+    The observable keeps the side's outcome map, so its -1 multiplicity is the
+    number of configurations reporting 1; those take the eigenvectors of ``m``
+    with the lowest eigenvalues, the rest the highest.  With ``diagonal`` only
+    the diagonal of ``m`` is used and the observable comes out diagonal.
     """
-    u = np.diag(np.exp(1j * np.asarray(diag_phases))).astype(complex)
-    idx = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            th, ph = thetas[idx], phis[idx]
-            idx += 1
-            c, s = math.cos(th), math.sin(th)
-            rot = np.array(
-                [[c, -s * np.exp(1j * ph)], [s * np.exp(-1j * ph), c]], dtype=complex
-            )
-            u[[i, j], :] = rot @ u[[i, j], :]
-    return u
+    if diagonal:
+        m = np.diag(np.diag(m))
+    values, vectors = np.linalg.eigh(m)
+    minus = sum(outcome_map)
+    rows = [i for i, b in enumerate(outcome_map) if b] + [i for i, b in enumerate(outcome_map) if not b]
+    u = np.empty_like(vectors)
+    u[rows] = vectors.conj().T
+    return u, float(values[minus:].sum() - values[:minus].sum())
 
 
-class _QubitPairSearch:
-    """Search space for two qubits: one Schmidt angle plus a (Y, Z) rotation
-    pair per local unitary.
+#: Round cap for one seesaw restart; rounds normally stop far earlier, once a
+#: round gains less than ``tol``.
+_MAX_ROUNDS = 1000
 
-    The in-search objective is the closed-form correlator expression for this
-    parameterization; it agrees with ``score_of_setup`` on the built setup to
-    round-off, which the tests pin down.  The Z-rotation that would precede
-    the Y rotation is dropped: it commutes through the outcome projectors and
-    never moves the score.
+
+def _seesaw(setup: QuantumSetup, tol: float, restrict_classical: bool) -> QuantumSetup:
+    """Alternate closed-form best responses of the state, Alice and Bob.
+
+    Every step maximizes the CHSH expectation over one part with the others
+    held fixed, so the score never decreases from round to round.
     """
-
-    #: params = [phi, (beta, gamma) for a0, a1, b0, b1]
-    n_params = 9
-
-    def __init__(self, restrict_classical: bool) -> None:
-        if restrict_classical:
-            # Diagonal local unitaries (no Y rotation) on a product state.
-            self.active = (2, 4, 6, 8)
-        else:
-            self.active = tuple(range(self.n_params))
-
-    def initial(self, rng: np.random.Generator) -> np.ndarray:
-        params = np.zeros(self.n_params)
-        params[list(self.active)] = rng.uniform(0.0, 2.0 * math.pi, len(self.active))
-        return params
-
-    @staticmethod
-    def objective(params: np.ndarray) -> float:
-        phi = params[0]
-        s2 = math.sin(2.0 * phi)
-        cb = [math.cos(params[i]) for i in (1, 3, 5, 7)]
-        sb = [math.sin(params[i]) for i in (1, 3, 5, 7)]
-        ga = (params[2], params[4])
-        gb = (params[6], params[8])
-        total = 0.0
-        for x in (0, 1):
-            for y in (0, 1):
-                corr = cb[x] * cb[2 + y] + s2 * sb[x] * sb[2 + y] * math.cos(ga[x] + gb[y])
-                total += -corr if x and y else corr
-        return 0.25 * total
-
-    @staticmethod
-    def build(params: np.ndarray) -> QuantumSetup:
-        phi = params[0]
-        state = np.array([math.cos(phi), 0.0, 0.0, math.sin(phi)], dtype=complex)
-        ops = [_ry(params[i]) @ _rz(params[i + 1]) for i in (1, 3, 5, 7)]
-        return QuantumSetup(state, ops[0], ops[1], ops[2], ops[3])
-
-
-class _GeneralSearch:
-    """Search space for arbitrary local dimensions.
-
-    The shared state is a Schmidt-form vector with hyperspherical angles; each
-    local unitary is a phased-Givens product.  Objective evaluation goes
-    through the same correlator algebra as the qubit case, on the Schmidt
-    block of the conjugated dichotomic observables.
-    """
-
-    def __init__(self, dims: tuple[int, int], restrict_classical: bool) -> None:
-        self.da, self.db = dims
-        self.m = min(dims)
-        self.n_state = self.m - 1
-        self.pairs_a = self.da * (self.da - 1) // 2
-        self.pairs_b = self.db * (self.db - 1) // 2
-        self.per_a = 2 * self.pairs_a + self.da
-        self.per_b = 2 * self.pairs_b + self.db
-        self.n_params = self.n_state + 2 * self.per_a + 2 * self.per_b
-        self.sign_a = np.array([1.0 if b == 0 else -1.0 for b in _default_outcome_map(self.da)])
-        self.sign_b = np.array([1.0 if b == 0 else -1.0 for b in _default_outcome_map(self.db)])
-        if restrict_classical:
-            active = []
-        else:
-            active = list(range(self.n_state))
-        offset = self.n_state
-        for pairs, per in ((self.pairs_a, self.per_a), (self.pairs_a, self.per_a),
-                           (self.pairs_b, self.per_b), (self.pairs_b, self.per_b)):
-            if restrict_classical:
-                # Only the diagonal phases stay free: local unitaries remain diagonal.
-                active.extend(range(offset + 2 * pairs, offset + per))
-            else:
-                active.extend(range(offset, offset + per))
-            offset += per
-        self.active = tuple(active)
-
-    def initial(self, rng: np.random.Generator) -> np.ndarray:
-        params = np.zeros(self.n_params)
-        params[list(self.active)] = rng.uniform(0.0, 2.0 * math.pi, len(self.active))
-        return params
-
-    def _unitaries(self, params: np.ndarray) -> list[np.ndarray]:
-        ops = []
-        offset = self.n_state
-        for dim, pairs, per in ((self.da, self.pairs_a, self.per_a),
-                                (self.da, self.pairs_a, self.per_a),
-                                (self.db, self.pairs_b, self.per_b),
-                                (self.db, self.pairs_b, self.per_b)):
-            chunk = params[offset : offset + per]
-            offset += per
-            ops.append(
-                _phased_givens_unitary(dim, chunk[:pairs], chunk[pairs : 2 * pairs], chunk[2 * pairs :])
-            )
-        return ops
-
-    def objective(self, params: np.ndarray) -> float:
-        c = _schmidt_coefficients(params[: self.n_state])
-        ua0, ua1, ub0, ub1 = self._unitaries(params)
-        m = self.m
-        ha = [(u.conj().T @ (self.sign_a[:, None] * u))[:m, :m] for u in (ua0, ua1)]
-        hb = [(u.conj().T @ (self.sign_b[:, None] * u))[:m, :m] for u in (ub0, ub1)]
-        total = 0.0
-        for x in (0, 1):
-            for y in (0, 1):
-                corr = float(np.real(c @ ((ha[x] * hb[y]) @ c)))
-                total += -corr if x and y else corr
-        return 0.25 * total
-
-    def build(self, params: np.ndarray) -> QuantumSetup:
-        c = _schmidt_coefficients(params[: self.n_state])
-        state = np.zeros(self.da * self.db, dtype=complex)
-        for k in range(self.m):
-            state[k * self.db + k] = c[k]
-        ua0, ua1, ub0, ub1 = self._unitaries(params)
-        return QuantumSetup(state, ua0, ua1, ub0, ub1)
-
-
-def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Golden-section search for the maximum of ``f`` on ``[lo, hi]``."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def _ascend(objective, params: np.ndarray, active, step0: float, step_floor: float, gain_tol: float):
-    """Cyclic coordinate ascent with golden-section line searches and a
-    shrinking trust interval."""
-    best = objective(params)
-    step = step0
-    while step > step_floor:
-        gain = 0.0
-        for i in active:
-            x0 = params[i]
-
-            def trial(v: float, i=i, x0=x0) -> float:
-                params[i] = v
-                val = objective(params)
-                params[i] = x0
-                return val
-
-            x, fx = _golden_max(trial, x0 - step, x0 + step, step * 1e-2)
-            if fx > best:
-                gain += fx - best
-                params[i] = x
-                best = fx
-        if gain < gain_tol:
-            step *= 0.5
-    return params, best
+    da, db = setup.dim_a, setup.dim_b
+    a, b = (setup.a0, setup.a1), (setup.b0, setup.b1)
+    state = basis_state(da * db, 0)  # stays pinned under restrict_classical
+    best = -math.inf
+    for _ in range(_MAX_ROUNDS):
+        if not restrict_classical:
+            state = np.linalg.eigh(chsh_operator(setup))[1][:, -1]
+        psi = state.reshape(da, db)
+        sb0, sb1 = (_local_dichotomic(u, setup.bob_outcome) for u in b)
+        a = tuple(
+            _best_response(psi @ c.T @ psi.conj().T, setup.alice_outcome, restrict_classical)[0]
+            for c in (sb0 + sb1, sb0 - sb1)
+        )
+        sa0, sa1 = (_local_dichotomic(u, setup.alice_outcome) for u in a)
+        responses = [
+            _best_response((psi.conj().T @ d @ psi).T, setup.bob_outcome, restrict_classical)
+            for d in (sa0 + sa1, sa0 - sa1)
+        ]
+        b = tuple(u for u, _ in responses)
+        setup = QuantumSetup(state, a[0], a[1], b[0], b[1])
+        score = sum(value for _, value in responses) / 4.0
+        if score - best < tol:
+            break
+        best = score
+    return setup
 
 
 @dataclass
@@ -431,65 +280,51 @@ def optimize(
     tol: float = 1e-9,
     restrict_classical: bool = False,
 ) -> OptimizeResult:
-    """Maximize the game score over Schmidt-form states and local unitaries.
+    """Maximize the game score over shared states and local unitaries by seesaw.
 
-    Derivative-free multi-restart ascent: restart ``k`` seeds its starting
-    point from a substream keyed by ``(seed, k)``, runs cyclic coordinate
-    ascent with golden-section line searches, and shrinks the search interval
-    once a full sweep gains less than ``tol``.  Ties across restarts break
-    toward the lowest restart index, so the result does not depend on how
-    restarts are scheduled.  The returned score is re-evaluated through the
-    operator-expectation path on the built setup, not the search objective.
+    Restart ``k`` starts from a random setup drawn from the substream keyed by
+    ``(seed, k)``.  Each round then takes three closed-form steps: the state
+    becomes the top eigenvector of the CHSH operator; each of Alice's
+    observables becomes the best response to her partial trace of the state
+    against Bob's combination ``B0 +- B1``; Bob's follow the same way against
+    ``A0 +- A1``.  Rounds stop once one gains less than ``tol``.  Ties across
+    restarts break toward the lowest restart index, so the result does not
+    depend on how restarts are scheduled.  The returned score is re-evaluated
+    through the operator-expectation path on the built setup.
 
-    With ``restrict_classical`` the state is pinned to a product
-    configuration and the local unitaries to diagonal matrices, which confines
-    the search to strategies a classical shared-randomness pair could play.
+    With ``restrict_classical`` the state is pinned to the product
+    configuration ``|0,0>`` and the observables to diagonal matrices, which
+    confines the search to strategies a classical shared-randomness pair
+    could play.
     """
     da, db = int(dims[0]), int(dims[1])
     if da < 2 or db < 2:
         raise ValueError(f"both local dimensions must be at least 2, got {dims!r}")
+    if da * db > MAX_JOINT_DIM:
+        raise ValueError(f"joint dimension {da * db} exceeds the supported cap {MAX_JOINT_DIM}")
     if restarts < 1:
         raise ValueError("restarts must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if (da, db) == (2, 2):
-        space = _QubitPairSearch(restrict_classical)
-    else:
-        space = _GeneralSearch((da, db), restrict_classical)
-    step_floor = max(1e-8, 0.01 * math.sqrt(tol))
+    tol = as_tolerance(tol)
+    best: QuantumSetup | None = None
     best_score = -math.inf
-    best_params: np.ndarray | None = None
     restart_scores: list[float] = []
     for restart in range(restarts):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed & _UINT64_MASK, restart], dtype=np.uint64))
-        )
-        params = space.initial(rng)
-        params, _ = _ascend(space.objective, params, space.active, 1.5, step_floor, tol)
-        score = score_of_setup(space.build(params))
+        setup = _seesaw(random_setup((da, db), substream(seed, restart)), tol, restrict_classical)
+        score = score_of_setup(setup)
         restart_scores.append(score)
         if score > best_score:
-            best_score = score
-            best_params = params.copy()
-    assert best_params is not None
-    return OptimizeResult(space.build(best_params), best_score, restart_scores)
-
-
-#: Optimizer-found parameters for the (2, 2) search space that saturate the
-#: score ceiling; frozen after verifying the score against TSIRELSON_SCORE.
-_CANONICAL_PARAMS = (
-    3.9269908186600153,
-    2.475012474409014,
-    1.9264170911873804,
-    1.283442612816751,
-    0.7407300438106913,
-    4.349112236005506,
-    1.9525196484036043,
-    3.85498083004988,
-    -0.07304703713030788,
-)
+            best, best_score = setup, score
+    assert best is not None
+    return OptimizeResult(best, best_score, restart_scores)
 
 
 def canonical_setup() -> QuantumSetup:
-    """The frozen optimizer-found setup that saturates the score ceiling."""
-    return _QubitPairSearch.build(np.array(_CANONICAL_PARAMS))
+    """The textbook setup that saturates the score ceiling.
+
+    The Bell state ``(|00> + |11>) / sqrt(2)`` with Alice measuring along
+    angles 0 and -pi/4 and Bob along -pi/8 and pi/8.
+    """
+    state = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    return QuantumSetup(
+        state, rotation(0.0), rotation(-math.pi / 4), rotation(-math.pi / 8), rotation(math.pi / 8)
+    )

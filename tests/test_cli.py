@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from chshkit.cli import main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
@@ -246,3 +247,47 @@ def test_process_invariant_violation(tmp_path, capsys):
 def test_unknown_kind_is_parse_error(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", {"kind": "telepathy"})
     assert main(["score", "--config", cfg]) == 2
+
+
+def test_optimize_general_dims_config_rescores(tmp_path, capsys):
+    out = tmp_path / "best.json"
+    assert main(["optimize", "--dims", "3,3", "--restarts", "2", "--seed", "3", "--out", str(out)]) == 0
+    best = float(report_of(capsys)["best_score"])
+    assert abs(best - TSIRELSON_SCORE) <= 1e-6
+    assert main(["score", "--config", str(out)]) == 0
+    assert abs(float(report_of(capsys)["exact_score"]) - best) <= 1e-10
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "dilate"])
+def test_negative_seed_is_invariant_violation(tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    argv = {
+        "simulate": ["simulate", "--config", write_json(tmp_path / "s.json", {"kind": "ns_box", "e": 0.5}),
+                     "--n", "4", "--out", out],
+        "optimize": ["optimize", "--restarts", "1", "--out", out],
+        "dilate": ["process", "--tool", "dilate",
+                   "--config", write_json(tmp_path / "m.json", {"gamma": [[0.5, 0.5], [0.5, 0.5]]})],
+    }[command]
+    assert main(argv + ["--seed", "-1"]) == 3
+    assert "seed" in capsys.readouterr().err
+
+
+def test_optimize_nan_tol_is_invariant_violation(tmp_path, capsys):
+    args = ["optimize", "--restarts", "1", "--seed", "1", "--tol", "nan", "--out", str(tmp_path / "b.json")]
+    assert main(args) == 3
+    assert "tol" in capsys.readouterr().err
+
+
+def test_process_divide_nan_tol_is_invariant_violation(tmp_path, capsys):
+    cfg = write_json(
+        tmp_path / "m.json",
+        {"gamma_total": [[1.0, 0.0], [0.0, 1.0]], "gamma_first": [[0.5, 0.5], [0.5, 0.5]]},
+    )
+    assert main(["process", "--tool", "divide", "--config", cfg, "--tol", "nan"]) == 3
+    assert "tol" in capsys.readouterr().err
+
+
+def test_optimize_oversized_dims_is_invariant_violation(tmp_path, capsys):
+    args = ["optimize", "--dims", "3,6", "--restarts", "1", "--seed", "1", "--out", str(tmp_path / "b.json")]
+    assert main(args) == 3
+    assert "joint dimension" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from chshkit.linalg import (
     projector,
     rotation,
     spectral_norm,
+    substream,
     tensor,
 )
 
@@ -220,3 +221,16 @@ def test_spectral_norm_of_pauli_like():
     assert spectral_norm(np.diag([1.0, -1.0])) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         spectral_norm(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_substream_is_philox_keyed_by_seed_and_counter():
+    for seed, k in ((0, 0), (7, 3), ((1 << 64) - 1, 12)):
+        direct = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        assert np.array_equal(substream(seed, k).random(5), direct.random(5))
+    assert not np.array_equal(substream(7, 0).random(5), substream(7, 1).random(5))
+
+
+def test_substream_rejects_out_of_range_seed():
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            substream(seed, 0)

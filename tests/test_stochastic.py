@@ -278,3 +278,17 @@ def test_qcor_rejects_bad_inputs():
         qcor(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         qcor(UNIFORMIZER, np.eye(2))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_division_and_dilation_reject_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        divide_report(np.eye(2), UNIFORMIZER, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        dilation_report(UNIFORMIZER, tol=tol)
+
+
+def test_dilation_rejects_out_of_range_seed():
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            dilation_report(UNIFORMIZER, seed=seed)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chshkit import tsirelson
 from chshkit.game import box_of_strategy, expected_score
 from chshkit.linalg import basis_state, rotation, spectral_norm, tensor
 from chshkit.tsirelson import (
@@ -232,3 +233,47 @@ def test_optimize_validates_arguments():
         optimize((1, 2))
     with pytest.raises(ValueError):
         optimize((2, 2), restarts=0)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 4)])
+def test_optimize_reaches_the_ceiling_in_higher_dimensions(dims):
+    result = optimize(dims, restarts=2, seed=31)
+    assert abs(result.score - TSIRELSON_SCORE) <= 1e-6
+    assert abs(score_of_setup(result.setup) - result.score) <= 1e-12
+
+
+def test_optimize_restricted_to_classical_strategies_in_higher_dimensions():
+    result = optimize((3, 3), restarts=3, seed=4, restrict_classical=True)
+    assert result.score == pytest.approx(0.5, abs=1e-12)
+    for side in ("a", "b"):
+        for setting in (0, 1):
+            obs = dichotomic(side, setting, result.setup)
+            assert np.array_equal(obs, np.diag(np.diag(obs)))
+
+
+def test_optimize_keeps_default_outcome_maps():
+    for dims in ((2, 2), (3, 2), (2, 3)):
+        setup = optimize(dims, restarts=1, seed=8).setup
+        assert setup.alice_outcome == tuple(k % 2 for k in range(dims[0]))
+        assert setup.bob_outcome == tuple(k % 2 for k in range(dims[1]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_optimize_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        optimize((2, 2), restarts=1, tol=tol)
+
+
+def test_optimize_rejects_oversized_dims_before_any_restart(monkeypatch):
+    def no_restart(*args):
+        raise AssertionError("a restart ran before the dimension check")
+
+    monkeypatch.setattr(tsirelson, "random_setup", no_restart)
+    with pytest.raises(ValueError, match="joint dimension 18"):
+        optimize((3, 6), restarts=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_optimize_rejects_out_of_range_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        optimize((2, 2), restarts=1, seed=seed)
