@@ -13,11 +13,8 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import assert_unitary
+from .linalg import as_probabilities, assert_unitary
 from .stochastic import as_stochastic_matrix
-
-JOINT_SUM_TOL = 1e-10
-_ENTRY_SLACK = 1e-12
 
 #: Default influence tolerance; table entries are products of at most four
 #: double-precision factors.
@@ -28,24 +25,12 @@ Direction = Literal["r_on_q", "q_on_r"]
 
 def as_joint_conditional(table, name: str = "joint") -> np.ndarray:
     """Validate a joint conditional table and return a cleaned float copy."""
-    a = np.asarray(table, dtype=float)
-    if a.ndim != 4 or a.shape[0] != a.shape[2] or a.shape[1] != a.shape[3]:
+    shape = np.shape(table)
+    if len(shape) != 4 or shape[:2] != shape[2:]:
         raise ValueError(
-            f"{name} must have shape (dq, dr, dq, dr) indexed [q_t, r_t, q_0, r_0], "
-            f"got {a.shape}"
+            f"{name} must have shape (dq, dr, dq, dr) indexed [q_t, r_t, q_0, r_0], got {shape}"
         )
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    if a.min() < -_ENTRY_SLACK:
-        raise ValueError(f"{name} has negative entries")
-    sums = a.sum(axis=(0, 1))
-    dev = float(np.max(np.abs(sums - 1.0)))
-    if dev > JOINT_SUM_TOL:
-        raise ValueError(
-            f"{name} must be normalized per initial configuration within {JOINT_SUM_TOL:g} "
-            f"(deviation {dev:.3e})"
-        )
-    return np.clip(a, 0.0, None)
+    return as_probabilities(table, 4, (0, 1), name, "be normalized per initial configuration")
 
 
 def marginal_q(joint) -> np.ndarray:

@@ -30,26 +30,31 @@ def _require(raw: dict, field: str, where: str) -> Any:
     return raw[field]
 
 
+def _int_list(value: Any, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ConfigError(f"{where}: expected a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def _bit_pair(value: Any, where: str) -> tuple[int, int]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
+    bits = _int_list(value, where)
+    if len(bits) != 2:
         raise ConfigError(f"{where}: expected a list of two bits, got {value!r}")
-    out = []
-    for entry in value:
-        if not isinstance(entry, int) or isinstance(entry, bool):
-            raise ConfigError(f"{where}: bits must be integers, got {entry!r}")
-        out.append(entry)
-    return out[0], out[1]
+    return bits
 
 
 def _number(value: Any, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: number out of range ({exc})") from exc
 
 
 def _complex_entry(value: Any, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_number(value, where))
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], where), _number(value[1], where))
     raise ConfigError(f"{where}: expected a number or [real, imag] pair, got {value!r}")
@@ -61,28 +66,15 @@ def _complex_vector(value: Any, where: str) -> np.ndarray:
     return np.array([_complex_entry(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
-def _complex_matrix(value: Any, where: str) -> np.ndarray:
+def _matrix(value: Any, where: str, entry) -> np.ndarray:
+    """Rectangular matrix of ``entry(v, where)`` values: ``_number`` or ``_complex_entry``."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where}: expected a non-empty list of rows")
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or not row:
             raise ConfigError(f"{where}[{i}]: expected a non-empty row")
-        rows.append([_complex_entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ConfigError(f"{where}: ragged rows")
-    return np.array(rows)
-
-
-def _real_matrix(value: Any, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where}: expected a non-empty list of rows")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise ConfigError(f"{where}[{i}]: expected a non-empty row")
-        rows.append([_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
+        rows.append([entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ConfigError(f"{where}: ragged rows")
@@ -97,6 +89,8 @@ def _load_json(path) -> dict:
             raise ConfigError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, or beyond the parser's limits
+            raise ConfigError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return raw
@@ -136,26 +130,25 @@ def load_strategy(path) -> Strategy:
             raise ConfigError(f"{where}.table: expected a nested list P[q][r][x][y]")
         try:
             entries = np.asarray(table, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}.table: not a rectangular numeric table: {exc}") from exc
         return ExplicitBox(entries)
     if kind == "quantum":
-        dims = _require(raw, "dims", where)
-        if not isinstance(dims, list) or len(dims) != 2:
+        dims = _int_list(_require(raw, "dims", where), f"{where}.dims")
+        if len(dims) != 2:
             raise ConfigError(f"{where}.dims: expected [dim_a, dim_b]")
         state = _complex_vector(_require(raw, "state", where), f"{where}.state")
         mats = {
-            name: _complex_matrix(_require(raw, name, where), f"{where}.{name}")
+            name: _matrix(_require(raw, name, where), f"{where}.{name}", _complex_entry)
             for name in ("a0", "a1", "b0", "b1")
         }
-        kwargs = {}
-        for field in ("alice_outcome", "bob_outcome"):
-            if field in raw:
-                if not isinstance(raw[field], list):
-                    raise ConfigError(f"{where}.{field}: expected a list of bits")
-                kwargs[field] = tuple(raw[field])
+        kwargs = {
+            field: _int_list(raw[field], f"{where}.{field}")
+            for field in ("alice_outcome", "bob_outcome")
+            if field in raw
+        }
         setup = QuantumSetup(state=state, **mats, **kwargs)
-        if [setup.dim_a, setup.dim_b] != [int(d) for d in dims]:
+        if (setup.dim_a, setup.dim_b) != dims:
             raise ConfigError(
                 f"{where}.dims: declared {dims!r} but matrices have dims "
                 f"({setup.dim_a}, {setup.dim_b})"
@@ -224,9 +217,6 @@ def load_process_input(path, fields: dict[str, str]) -> dict[str, np.ndarray]:
     where = str(path)
     out = {}
     for name, kind in fields.items():
-        value = _require(raw, name, where)
-        if kind == "real":
-            out[name] = _real_matrix(value, f"{where}.{name}")
-        else:
-            out[name] = _complex_matrix(value, f"{where}.{name}")
+        entry = _number if kind == "real" else _complex_entry
+        out[name] = _matrix(_require(raw, name, where), f"{where}.{name}", entry)
     return out

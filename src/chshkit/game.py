@@ -10,22 +10,19 @@ pair.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Union
 
 import numpy as np
 
-from .linalg import substream, tensor
+from .linalg import as_probabilities, substream, tensor
 from .tsirelson import QuantumSetup
 
-BOX_SUM_TOL = 1e-10
 NO_SIGNALING_TOL = 1e-9
-_ENTRY_SLACK = 1e-12
 
 #: Rounds per Monte Carlo chunk.  Chunk ``c`` draws from a substream keyed by
-#: ``(seed, c)``, so output is identical however chunks are scheduled.
+#: ``(seed, c)``, so its rounds depend only on the seed, never on ``n``.
 CHUNK_ROUNDS = 1 << 16
 
 
@@ -47,35 +44,16 @@ UNIFORM_INPUTS = np.full((2, 2), 0.25)
 
 def as_correlation_box(box, name: str = "box") -> np.ndarray:
     """Validate a correlation box ``P[q, r, x, y]`` and return a cleaned copy."""
-    a = np.asarray(box, dtype=float)
-    if a.shape != (2, 2, 2, 2):
-        raise ValueError(f"{name} must have shape (2, 2, 2, 2), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    if a.min() < -_ENTRY_SLACK:
-        raise ValueError(f"{name} has negative entries")
-    sums = a.sum(axis=(0, 1))
-    dev = float(np.max(np.abs(sums - 1.0)))
-    if dev > BOX_SUM_TOL:
-        raise ValueError(
-            f"{name} must be normalized per input pair within {BOX_SUM_TOL:g} (deviation {dev:.3e})"
-        )
-    return np.clip(a, 0.0, None)
+    if np.shape(box) != (2, 2, 2, 2):
+        raise ValueError(f"{name} must have shape (2, 2, 2, 2), got {np.shape(box)}")
+    return as_probabilities(box, 4, (0, 1), name, "be normalized per input pair")
 
 
 def as_input_distribution(inputs, name: str = "inputs") -> np.ndarray:
     """Validate a joint input distribution ``P[x, y]``."""
-    a = np.asarray(inputs, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError(f"{name} must have shape (2, 2), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    if a.min() < -_ENTRY_SLACK:
-        raise ValueError(f"{name} has negative entries")
-    total = float(a.sum())
-    if abs(total - 1.0) > BOX_SUM_TOL:
-        raise ValueError(f"{name} must sum to 1, got {total!r}")
-    return np.clip(a, 0.0, None)
+    if np.shape(inputs) != (2, 2):
+        raise ValueError(f"{name} must have shape (2, 2), got {np.shape(inputs)}")
+    return as_probabilities(inputs, 2, None, name, "sum to 1")
 
 
 def ns_box(e: float) -> np.ndarray:
@@ -190,18 +168,12 @@ class SharedRandomness:
     mixture: tuple[tuple[float, Deterministic], ...]
 
     def __post_init__(self) -> None:
-        terms = []
-        for weight, strat in self.mixture:
-            w = float(weight)
-            if w < -_ENTRY_SLACK:
-                raise ValueError(f"mixture weights must be nonnegative, got {w!r}")
-            if not isinstance(strat, Deterministic):
-                raise ValueError("mixture components must be Deterministic strategies")
-            terms.append((max(w, 0.0), strat))
-        total = sum(w for w, _ in terms)
-        if abs(total - 1.0) > BOX_SUM_TOL:
-            raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "mixture", tuple(terms))
+        strategies = [strat for _, strat in self.mixture]
+        if not all(isinstance(strat, Deterministic) for strat in strategies):
+            raise ValueError("mixture components must be Deterministic strategies")
+        weights = [w for w, _ in self.mixture]
+        weights = as_probabilities(weights, 1, None, "mixture weights", "sum to 1").tolist()
+        object.__setattr__(self, "mixture", tuple(zip(weights, strategies)))
 
 
 @dataclass(frozen=True)
@@ -379,28 +351,23 @@ def _simulate_chunk(cum: np.ndarray, seed: int, chunk_index: int, count: int):
     return setting >> 1, setting & 1, outcome >> 1, outcome & 1
 
 
-def simulate_rounds(strategy: Strategy, n: int, seed: int, workers: int = 1) -> SimulationResult:
+def simulate_rounds(strategy: Strategy, n: int, seed: int) -> SimulationResult:
     """Play ``n`` seeded rounds of a strategy.
 
     Each round draws the input pair uniformly and the outcome pair by
     inverse-CDF sampling from the strategy's box conditioned on the inputs.
     Rounds are produced in fixed-size chunks whose substreams depend only on
-    ``(seed, chunk_index)``; running chunks on more threads never changes the
-    output.
+    ``(seed, chunk_index)``, so a longer run extends a shorter one's whole
+    chunks unchanged.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     seed = int(seed)
     cum = _outcome_cumulatives(box_of_strategy(strategy))
-    counts = [(i, min(CHUNK_ROUNDS, n - start)) for i, start in enumerate(range(0, n, CHUNK_ROUNDS))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ic: _simulate_chunk(cum, seed, ic[0], ic[1]), counts))
-    else:
-        parts = [_simulate_chunk(cum, seed, i, c) for i, c in counts]
-    x = np.concatenate([p[0] for p in parts])
-    y = np.concatenate([p[1] for p in parts])
-    q = np.concatenate([p[2] for p in parts])
-    r = np.concatenate([p[3] for p in parts])
+    parts = [
+        _simulate_chunk(cum, seed, i, min(CHUNK_ROUNDS, n - start))
+        for i, start in enumerate(range(0, n, CHUNK_ROUNDS))
+    ]
+    x, y, q, r = (np.concatenate(column) for column in zip(*parts))
     win = (q ^ r) == (x & y)
     return SimulationResult(n=n, seed=seed, x=x, y=y, q=q, r=r, win=win)

@@ -22,6 +22,12 @@ UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 
+#: How far round-off may push a probability outside [0, 1].
+ENTRY_SLACK = 1e-12
+
+#: Tolerance on the sums that normalize a probability table.
+SUM_TOL = 1e-10
+
 _UINT64_MAX = (1 << 64) - 1
 
 
@@ -49,6 +55,27 @@ def as_tolerance(tol) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     return value
+
+
+def as_probabilities(p, ndim: int, axes, name: str, what: str) -> np.ndarray:
+    """Validate a probability table and return a cleaned float copy.
+
+    The table needs ``ndim`` non-empty axes and finite entries in [0, 1]
+    within ``ENTRY_SLACK``; its sums over ``axes`` (``None``: all entries)
+    must be 1 within ``SUM_TOL``.  Round-off negatives are clipped to zero.
+    ``what`` completes the message "``name`` must ..." for a bad sum.
+    """
+    a = np.asarray(p, dtype=float)
+    if a.ndim != ndim or 0 in a.shape:
+        raise ValueError(f"{name} must have {ndim} non-empty axes, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    if a.min() < -ENTRY_SLACK or a.max() > 1 + ENTRY_SLACK:
+        raise ValueError(f"{name}: entries must be probabilities in [0, 1]")
+    dev = float(np.max(np.abs(a.sum(axis=axes) - 1.0)))
+    if dev > SUM_TOL:
+        raise ValueError(f"{name} must {what} within {SUM_TOL:g} (deviation {dev:.3e})")
+    return np.clip(a, 0.0, None)
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -114,7 +141,7 @@ def assert_unitary(u, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndar
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     dev = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
-    if dev > tol:
+    if not dev <= tol:  # an overflowing Gram matrix gives a NaN deviation
         raise ValueError(f"{name} is not unitary within {tol:g} (deviation {dev:.3e})")
     return a
 
@@ -168,7 +195,7 @@ def amplitude_representation(gamma, phases) -> np.ndarray:
         )
     if not (np.isfinite(g).all() and np.isfinite(th).all()):
         raise ValueError("gamma and phases must be finite")
-    if g.min() < -1e-12 or g.max() > 1 + 1e-12:
+    if g.min() < -ENTRY_SLACK or g.max() > 1 + ENTRY_SLACK:
         raise ValueError("gamma entries must be probabilities in [0, 1]")
     return np.exp(1j * th) * np.sqrt(np.clip(g, 0.0, None))
 

@@ -12,49 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, as_tolerance, assert_unitary, substream
-
-COLUMN_SUM_TOL = 1e-10
-ENTRY_SLACK = 1e-12
+from .linalg import SUM_TOL, UNITARY_TOL, as_probabilities, as_tolerance, assert_unitary, substream
 
 #: Division events are only ever defined up to a working precision; callers
 #: may widen or tighten this.
 DIVISION_TOL = 1e-8
 
 
-def as_stochastic_matrix(gamma, name: str = "gamma", col_tol: float = COLUMN_SUM_TOL) -> np.ndarray:
-    """Validate a column-stochastic matrix and return a cleaned float copy.
-
-    Entries may undershoot zero by at most ``ENTRY_SLACK`` (round-off); such
-    entries are clipped to zero.  Larger violations are errors.
-    """
-    a = np.asarray(gamma, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    if a.min() < -ENTRY_SLACK or a.max() > 1 + ENTRY_SLACK:
-        raise ValueError(f"{name} entries must be probabilities in [0, 1]")
-    sums = a.sum(axis=0)
-    dev = float(np.max(np.abs(sums - 1.0)))
-    if dev > col_tol:
-        raise ValueError(f"{name} columns must sum to 1 within {col_tol:g} (deviation {dev:.3e})")
-    return np.clip(a, 0.0, None)
+def as_stochastic_matrix(gamma, name: str = "gamma") -> np.ndarray:
+    """Validate a column-stochastic matrix and return a cleaned float copy."""
+    return as_probabilities(gamma, 2, 0, name, "have columns summing to 1")
 
 
-def as_distribution(p, name: str = "p", sum_tol: float = COLUMN_SUM_TOL) -> np.ndarray:
+def as_distribution(p, name: str = "p") -> np.ndarray:
     """Validate a probability distribution and return a cleaned float copy."""
-    a = np.asarray(p, dtype=float)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise ValueError(f"{name} must be a 1-d vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    if a.min() < -ENTRY_SLACK:
-        raise ValueError(f"{name} has negative entries")
-    total = float(a.sum())
-    if abs(total - 1.0) > sum_tol:
-        raise ValueError(f"{name} must sum to 1 within {sum_tol:g}, got {total!r}")
-    return np.clip(a, 0.0, None)
+    return as_probabilities(p, 1, None, name, "sum to 1")
 
 
 def evolve(gamma, p0) -> np.ndarray:
@@ -68,7 +40,7 @@ def evolve(gamma, p0) -> np.ndarray:
     return g @ d
 
 
-def is_doubly_stochastic(gamma, tol: float = COLUMN_SUM_TOL) -> bool:
+def is_doubly_stochastic(gamma, tol: float = SUM_TOL) -> bool:
     """True iff ``gamma`` is square with unit row and column sums within ``tol``."""
     a = np.asarray(gamma, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -167,7 +139,7 @@ def dilation_report(
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"gamma must be square, got shape {g.shape}")
-    if not is_doubly_stochastic(g, tol=max(tol, COLUMN_SUM_TOL)):
+    if not is_doubly_stochastic(g, tol=max(tol, SUM_TOL)):
         raise ValueError(
             "gamma must be doubly stochastic: only doubly stochastic matrices can equal "
             "the squared moduli of a unitary"

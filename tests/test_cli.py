@@ -291,3 +291,49 @@ def test_optimize_oversized_dims_is_invariant_violation(tmp_path, capsys):
     args = ["optimize", "--dims", "3,6", "--restarts", "1", "--seed", "1", "--out", str(tmp_path / "b.json")]
     assert main(args) == 3
     assert "joint dimension" in capsys.readouterr().err
+
+
+def _quantum_payload(**fields):
+    payload = strategy_config(canonical_setup())
+    payload.update(fields)
+    return payload
+
+
+HUGE_INT = 10**400  # a valid JSON number with no float value
+
+
+@pytest.mark.parametrize(
+    "argv_head, payload",
+    [
+        (["score"], {"kind": "ns_box", "e": HUGE_INT}),
+        (["process", "--tool", "divide"], {"gamma_total": [[HUGE_INT]], "gamma_first": [[1.0]]}),
+        (["process", "--tool", "qcor"], {"u_total": [[[HUGE_INT, 0.0]]], "u_first": [[1.0]]}),
+        (["process", "--tool", "qcor"], {"u_total": [[1.0]], "u_first": [[HUGE_INT]]}),
+        (["score"], {"kind": "box", "table": [[[[HUGE_INT]]]]}),
+        (["score"], _quantum_payload(dims=[None, 2])),
+        (["score"], _quantum_payload(dims=[2.9, 2])),
+        (["score"], _quantum_payload(alice_outcome=[None, 1])),
+    ],
+    ids=["ns_box_e", "real_entry", "complex_pair", "complex_entry", "box_table",
+         "dims_null", "dims_float", "outcome_null"],
+)
+def test_malformed_config_values_are_parse_errors(tmp_path, capsys, argv_head, payload):
+    cfg = write_json(tmp_path / "c.json", payload)
+    assert main(argv_head + ["--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"kind": "ns_box", "e": 0.5, "note": "café"}'.encode("latin-1"),
+        b'{"kind": "ns_box", "e": ' + b"9" * 5000 + b"}",
+        b'{"kind": "ns_box", "e": 0.5, "note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ],
+    ids=["not_utf8", "5000_digits", "deep_nesting"],
+)
+def test_unreadable_json_is_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    assert main(["score", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")

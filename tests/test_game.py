@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chshkit.game import (
+    CHUNK_ROUNDS,
     Deterministic,
     ExplicitBox,
     NSBox,
@@ -233,12 +234,12 @@ def test_simulation_is_deterministic():
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-def test_simulation_invariant_to_worker_count():
-    n = 3 * 65536 + 123  # spans several chunks plus a partial tail
-    a = simulate_rounds(NSBox(0.5), n, seed=7, workers=1)
-    b = simulate_rounds(NSBox(0.5), n, seed=7, workers=4)
+def test_simulation_chunks_keyed_by_seed_and_index():
+    n = 3 * CHUNK_ROUNDS + 123  # spans several chunks plus a partial tail
+    a = simulate_rounds(NSBox(0.5), n, seed=7)
+    b = simulate_rounds(NSBox(0.5), 2 * CHUNK_ROUNDS, seed=7)
     for field in ("x", "y", "q", "r", "win"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(getattr(a, field)[: 2 * CHUNK_ROUNDS], getattr(b, field))
 
 
 def test_simulation_of_perfect_box_always_wins():

@@ -6,6 +6,7 @@ import pytest
 from chshkit.linalg import (
     amplitude_representation,
     as_state_vector,
+    assert_unitary,
     dephase,
     dictionary_prob,
     haar_unitary,
@@ -64,6 +65,15 @@ def test_is_unitary_accepts_identity_and_rotation():
 
 def test_is_unitary_rejects_shear():
     assert not is_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_unitarity_checks_reject_overflowing_gram_matrix():
+    # u^dag u overflows to inf - inf = NaN off the diagonal
+    huge = np.array([[1e200, 1e200], [1e200, 1e200j]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not is_unitary(huge)
+        with pytest.raises(ValueError):
+            assert_unitary(huge)
 
 
 def test_is_unitary_requires_square():

@@ -1,0 +1,167 @@
+"""Property-based tests: config round-trips, the two quantum score routes,
+qcor column sums, and the CLI's exit codes on fuzzed configs."""
+
+import contextlib
+import dataclasses
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chshkit.cli import main
+from chshkit.configio import load_strategy, save_strategy, strategy_config
+from chshkit.game import (
+    Deterministic,
+    ExplicitBox,
+    NSBox,
+    SharedRandomness,
+    box_of_strategy,
+    expected_score,
+    ns_box,
+)
+from chshkit.linalg import haar_unitary
+from chshkit.stochastic import qcor
+from chshkit.tsirelson import canonical_setup, random_setup, score_of_setup
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+bits = st.integers(0, 1)
+deterministic = st.builds(Deterministic, st.tuples(bits, bits), st.tuples(bits, bits))
+
+
+@st.composite
+def mixtures(draw):
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
+    components = draw(st.lists(deterministic, min_size=len(raw), max_size=len(raw)))
+    weights = (np.array(raw) / sum(raw)).tolist()
+    return SharedRandomness(tuple(zip(weights, components)))
+
+
+@st.composite
+def explicit_boxes(draw):
+    table = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16)))
+    table = table.reshape(2, 2, 2, 2)
+    return ExplicitBox(table / table.sum(axis=(0, 1)))
+
+
+@st.composite
+def quantum_setups(draw):
+    da, db = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)]))
+    setup = random_setup((da, db), np.random.default_rng(draw(st.integers(0, 2**32))))
+    outcome_map = lambda d: st.lists(bits, min_size=d, max_size=d).map(tuple)  # noqa: E731
+    return dataclasses.replace(
+        setup, alice_outcome=draw(outcome_map(da)), bob_outcome=draw(outcome_map(db))
+    )
+
+
+every_strategy = st.one_of(
+    deterministic,
+    mixtures(),
+    st.builds(NSBox, st.floats(-1.0, 1.0)),
+    explicit_boxes(),
+    quantum_setups(),
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+@PROPERTY
+@given(strategy=every_strategy)
+def test_config_save_load_round_trip(workdir, strategy):
+    path = workdir / "strategy.json"
+    save_strategy(strategy, path)
+    loaded = load_strategy(path)
+    assert type(loaded) is type(strategy)
+    assert strategy_config(loaded) == strategy_config(strategy)
+    assert np.array_equal(box_of_strategy(loaded), box_of_strategy(strategy))
+
+
+@PROPERTY
+@given(setup=quantum_setups())
+def test_box_route_matches_operator_route(setup):
+    assert abs(expected_score(box_of_strategy(setup)) - score_of_setup(setup)) <= 1e-12
+
+
+@PROPERTY
+@given(dim=st.integers(1, 8), seed=st.integers(0, 2**32))
+def test_qcor_columns_sum_to_zero(dim, seed):
+    rng = np.random.default_rng(seed)
+    correction = qcor(haar_unitary(dim, rng), haar_unitary(dim, rng))
+    assert np.max(np.abs(correction.sum(axis=0))) <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# CLI fuzzing: one node of a valid config replaced by an arbitrary JSON value
+# --------------------------------------------------------------------------
+
+_HALF = [[0.5, 0.5], [0.5, 0.5]]
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+_ROT = [[[0.6, 0.0], [-0.8, 0.0]], [[0.8, 0.0], [0.6, 0.0]]]
+
+BASE_CONFIGS = [
+    (["score"], strategy_config(canonical_setup())),
+    (["audit"], strategy_config(canonical_setup())),
+    (["score"], {"kind": "ns_box", "e": 0.5}),
+    (["audit"], {"kind": "box", "table": ns_box(0.3).tolist()}),
+    (["score"], {"kind": "deterministic", "q_of_x": [0, 1], "r_of_y": [1, 0]}),
+    (["score"], {"kind": "mixture", "components": [
+        {"weight": 0.25, "q_of_x": [0, 0], "r_of_y": [0, 0]},
+        {"weight": 0.75, "q_of_x": [1, 0], "r_of_y": [0, 1]},
+    ]}),
+    (["process", "--tool", "divide"], {"gamma_total": _HALF, "gamma_first": _EYE}),
+    (["process", "--tool", "qcor"], {"u_total": _ROT, "u_first": _EYE}),
+    (["process", "--tool", "dilate", "--restarts", "1"], {"gamma": _HALF}),
+]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_exit_codes_on_fuzzed_configs(workdir, data):
+    argv_head, base = data.draw(st.sampled_from(BASE_CONFIGS))
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    config = _replaced(base, path, data.draw(json_values))
+    cfg = workdir / "fuzzed.json"
+    cfg.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv_head + ["--config", str(cfg)])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+    assert "nan" not in out.getvalue().lower()  # a success reports finite numbers only

@@ -1,0 +1,110 @@
+"""The shared probability-table rule, checked through every validator that uses it.
+
+Entries must be finite probabilities in [0, 1] within 1e-12 and sums must be
+1 within 1e-10; negatives inside the slack are clipped to exactly zero.
+"""
+
+import numpy as np
+import pytest
+
+from chshkit.causality import as_joint_conditional, swap_joint
+from chshkit.game import (
+    Deterministic,
+    SharedRandomness,
+    as_correlation_box,
+    as_input_distribution,
+    box_of_strategy,
+)
+from chshkit.stochastic import as_distribution, as_stochastic_matrix
+
+_PURE = (Deterministic((0, 0), (0, 0)), Deterministic((1, 1), (1, 1)))
+
+
+def _mixture_weights(weights):
+    mixture = SharedRandomness(tuple(zip(np.asarray(weights).tolist(), _PURE)))
+    return np.array([w for w, _ in mixture.mixture])
+
+
+# (validator, valid table, wrong-shape table, index of a 0 entry, index of a 1 entry)
+VALIDATORS = {
+    "correlation_box": (
+        as_correlation_box,
+        box_of_strategy(Deterministic((0, 0), (0, 0))),
+        np.full((2, 2, 2), 0.5),
+        (1, 1, 0, 0),
+        (0, 0, 0, 0),
+    ),
+    "input_distribution": (
+        as_input_distribution,
+        np.array([[1.0, 0.0], [0.0, 0.0]]),
+        np.full(4, 0.25),
+        (0, 1),
+        (0, 0),
+    ),
+    "mixture_weights": (_mixture_weights, np.array([1.0, 0.0]), np.array([]), (1,), (0,)),
+    "stochastic_matrix": (
+        as_stochastic_matrix,
+        np.array([[1.0, 0.5], [0.0, 0.5]]),
+        np.array([1.0]),
+        (1, 0),
+        (0, 0),
+    ),
+    "distribution": (as_distribution, np.array([1.0, 0.0]), np.array([[1.0]]), (1,), (0,)),
+    "joint_conditional": (
+        as_joint_conditional,
+        swap_joint(2),
+        np.full((2, 2, 2, 3), 1 / 6),
+        (0, 0, 0, 1),
+        (1, 0, 0, 1),
+    ),
+}
+
+
+def _with(table, index, value):
+    out = np.array(table, dtype=float)
+    out[index] = value
+    return out
+
+
+def _bad_tables(kind):
+    _, valid, wrong_shape, zero, one = VALIDATORS[kind]
+    return {
+        "wrong shape": wrong_shape,
+        "nan": _with(valid, one, np.nan),
+        "negative": _with(valid, zero, -2e-11),
+        "sum off": _with(valid, one, 1.0 - 1e-9),
+        "entry above one": _with(valid, one, 1.0 + 5e-11),
+    }
+
+
+#: Tables that the per-module validator copies let through: only stochastic
+#: matrices had an upper entry bound, and a NaN mixture weight made the weight
+#: sum NaN, which no ``> tol`` comparison rejects.
+NEWLY_REJECTED = {(kind, "entry above one") for kind in VALIDATORS if kind != "stochastic_matrix"}
+NEWLY_REJECTED.add(("mixture_weights", "nan"))
+
+
+@pytest.mark.parametrize("kind", sorted(VALIDATORS))
+def test_validator_rejects_bad_tables_and_clips_round_off(kind):
+    validate, valid, _, zero, _ = VALIDATORS[kind]
+    bad = {k: v for k, v in _bad_tables(kind).items() if (kind, k) not in NEWLY_REJECTED}
+    for label, table in bad.items():
+        with pytest.raises(ValueError):
+            validate(table)
+            pytest.fail(f"{kind} accepted a table with a {label}")
+    cleaned = validate(_with(valid, zero, -1e-13))
+    assert np.array_equal(cleaned, valid)
+    assert not np.signbit(cleaned).any()
+
+
+@pytest.mark.parametrize("kind, label", sorted(NEWLY_REJECTED))
+def test_validator_rejects_what_the_old_copies_accepted(kind, label):
+    with pytest.raises(ValueError):
+        VALIDATORS[kind][0](_bad_tables(kind)[label])
+
+
+@pytest.mark.parametrize("kind", sorted(VALIDATORS))
+def test_validator_keeps_entry_within_slack_above_one(kind):
+    validate, valid, _, _, one = VALIDATORS[kind]
+    table = _with(valid, one, 1.0 + 1e-13)
+    assert np.array_equal(validate(table), table)
