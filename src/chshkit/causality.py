@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import as_probabilities, assert_unitary
+from .linalg import as_probabilities, as_tolerance, assert_unitary
 from .stochastic import as_stochastic_matrix
 
 #: Default influence tolerance; table entries are products of at most four
@@ -51,6 +51,7 @@ def influences(joint, direction: Direction, tol: float = INFLUENCE_TOL) -> bool:
     Constancy in the remote index is the operational test: the one-argument
     conditional exists exactly when the marginal does not depend on it.
     """
+    tol = as_tolerance(tol)
     if direction == "r_on_q":
         m = marginal_q(joint)
         remote_axis = 2
@@ -76,6 +77,7 @@ def non_interacting(joint, tol: float = INFLUENCE_TOL) -> bool:
     their product entrywise.  A shared random disturbance can leave both
     marginals remote-independent while the joint still fails to factorize.
     """
+    tol = as_tolerance(tol)
     j = as_joint_conditional(joint)
     if not causally_independent(j, tol):
         return False

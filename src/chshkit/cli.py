@@ -1,9 +1,11 @@
 """Command-line surface: strategy configs in; scores, audits, simulation
 records, optimizer traces and process-tool verdicts out.
 
-Reports are ``key=value`` lines with numbers printed to 17 significant
-digits, so every emitted value parses back to the exact double.  Exit codes:
-0 success, 2 parse error, 3 invariant violation, 4 I/O error.
+Each subcommand returns its report as an ordered dict and prints nothing;
+:func:`main` writes it as ``key=value`` lines in that order, skipping
+``None`` values.  Numbers are printed to 17 significant digits, so every
+emitted value parses back to the exact double, and matrices as compact JSON.
+Exit codes: 0 success, 2 parse error, 3 invariant violation, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -11,17 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import stochastic
 from .configio import (
     ConfigError,
-    complex_matrix_payload,
     load_process_input,
     load_strategy,
-    real_matrix_payload,
+    payload,
     save_strategy,
 )
 from .game import (
@@ -42,38 +42,11 @@ EXIT_IO = 4
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, list):
+        return json.dumps(value, separators=(",", ":"))
     return str(value)
-
-
-@dataclass
-class RunReport:
-    """Key=value report emitted by score and simulate."""
-
-    exact_score: float
-    exact_win_probability: float
-    ns_check: str
-    bound_margin: float | None = None
-    empirical_score: float | None = None
-    empirical_win_rate: float | None = None
-    n_rounds: int | None = None
-    seed: int | None = None
-
-    def lines(self) -> list[str]:
-        pairs = [
-            ("exact_score", self.exact_score),
-            ("exact_win_probability", self.exact_win_probability),
-            ("ns_check", self.ns_check),
-            ("bound_margin", self.bound_margin),
-            ("empirical_score", self.empirical_score),
-            ("empirical_win_rate", self.empirical_win_rate),
-            ("n_rounds", self.n_rounds),
-            ("seed", self.seed),
-        ]
-        return [f"{k}={_fmt(v)}" for k, v in pairs if v is not None]
 
 
 def _parse_inputs(spec: str) -> np.ndarray:
@@ -87,25 +60,32 @@ def _parse_inputs(spec: str) -> np.ndarray:
     return as_input_distribution(np.array(values).reshape(2, 2), "--inputs")
 
 
-def _report_for(strategy, inputs) -> RunReport:
+def _bound_margin(strategy, box) -> float | None:
+    """Margin below the Tsirelson ceiling, for quantum setups only.
+
+    The ceiling bounds the uniform-input score, so the margin is taken from
+    that score whatever input distribution the report is about.
+    """
+    if not isinstance(strategy, QuantumSetup):
+        return None
+    return TSIRELSON_SCORE - abs(expected_score(box))
+
+
+def _score_report(strategy, inputs=None) -> dict:
     box = box_of_strategy(strategy)
     score = expected_score(box, inputs)
-    report = RunReport(
-        exact_score=score,
-        exact_win_probability=win_probability(score),
-        ns_check="pass" if is_no_signaling(box) else "fail",
-    )
-    if isinstance(strategy, QuantumSetup):
-        report.bound_margin = TSIRELSON_SCORE - abs(score)
-    return report
+    return {
+        "exact_score": score,
+        "exact_win_probability": win_probability(score),
+        "ns_check": "pass" if is_no_signaling(box) else "fail",
+        "bound_margin": _bound_margin(strategy, box),
+    }
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> dict:
     strategy = load_strategy(args.config)
     inputs = _parse_inputs(args.inputs) if args.inputs else None
-    for line in _report_for(strategy, inputs).lines():
-        print(line)
-    return EXIT_OK
+    return _score_report(strategy, inputs)
 
 
 def format_records(result) -> str:
@@ -117,48 +97,43 @@ def format_records(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     strategy = load_strategy(args.config)
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     result = simulate_rounds(strategy, args.n, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_records(result))
-    report = _report_for(strategy, None)
-    report.empirical_score = result.empirical_score
-    report.empirical_win_rate = result.empirical_win_rate
-    report.n_rounds = result.n
-    report.seed = result.seed
-    for line in report.lines():
-        print(line)
-    return EXIT_OK
+    return _score_report(strategy) | {
+        "empirical_score": result.empirical_score,
+        "empirical_win_rate": result.empirical_win_rate,
+        "n_rounds": result.n,
+        "seed": result.seed,
+    }
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> dict:
     strategy = load_strategy(args.config)
     box = box_of_strategy(strategy)
     witness = signaling_witness(box)
-    lines = [f"ns_check={'pass' if witness is None else 'fail'}"]
+    report = {"ns_check": "pass" if witness is None else "fail"}
     if witness is not None:
-        lines.append(f"ns_witness_side={witness.side}")
-        lines.append(f"ns_witness_outcome={witness.outcome}")
-        lines.append(f"ns_witness_own_setting={witness.own_setting}")
-        lines.append(
-            f"ns_witness_remote_settings={witness.remote_setting_a},{witness.remote_setting_b}"
-        )
-        lines.append(f"ns_witness_delta={_fmt(witness.delta)}")
+        report |= {
+            "ns_witness_side": witness.side,
+            "ns_witness_outcome": witness.outcome,
+            "ns_witness_own_setting": witness.own_setting,
+            "ns_witness_remote_settings": f"{witness.remote_setting_a},{witness.remote_setting_b}",
+            "ns_witness_delta": witness.delta,
+        }
     if isinstance(strategy, QuantumSetup):
         # Local operations enter only as a tensor product, and each factor is
         # checked unitary on load: the joint operation factorizes by construction.
-        lines.append("factorization=pass")
-        score = expected_score(box)
-        lines.append(f"bound_margin={_fmt(TSIRELSON_SCORE - abs(score))}")
-    for line in lines:
-        print(line)
-    return EXIT_OK
+        report["factorization"] = "pass"
+    report["bound_margin"] = _bound_margin(strategy, box)
+    return report
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> dict:
     dims_parts = args.dims.split(",")
     if len(dims_parts) != 2:
         raise ConfigError(f"--dims must be 'dim_a,dim_b', got {args.dims!r}")
@@ -175,45 +150,40 @@ def cmd_optimize(args) -> int:
         for i, score in enumerate(result.restart_scores):
             best = max(best, score)
             fh.write(f"{i},{score:.17g},{best:.17g}\n")
-    print(f"best_score={_fmt(result.score)}")
-    print(f"best_win_probability={_fmt(win_probability(result.score))}")
-    print(f"bound_margin={_fmt(TSIRELSON_SCORE - abs(result.score))}")
-    print(f"restarts={args.restarts}")
-    print(f"seed={args.seed}")
-    print(f"config_path={args.out}")
-    print(f"trace_path={trace_path}")
-    return EXIT_OK
+    return {
+        "best_score": result.score,
+        "best_win_probability": win_probability(result.score),
+        "bound_margin": TSIRELSON_SCORE - abs(result.score),
+        "restarts": args.restarts,
+        "seed": args.seed,
+        "config_path": args.out,
+        "trace_path": trace_path,
+    }
 
 
-def _print_matrix(key: str, payload) -> None:
-    print(f"{key}={json.dumps(payload, separators=(',', ':'))}")
-
-
-def cmd_process(args) -> int:
+def cmd_process(args) -> dict:
+    if args.tool == "qcor":
+        data = load_process_input(args.config, {"u_total": "complex", "u_first": "complex"})
+        result = stochastic.qcor(data["u_total"], data["u_first"])
+        return {
+            "result": payload(result),
+            "max_column_sum": float(np.max(np.abs(result.sum(axis=0)))),
+        }
     if args.tool == "divide":
         data = load_process_input(args.config, {"gamma_total": "real", "gamma_first": "real"})
         report = stochastic.divide_report(data["gamma_total"], data["gamma_first"], tol=args.tol)
-        print(f"verdict={'divisible' if report.quotient is not None else 'not_divisible'}")
-        print(f"residual={_fmt(report.residual)}")
-        if report.quotient is not None:
-            _print_matrix("result", real_matrix_payload(report.quotient))
-    elif args.tool == "dilate":
+        found, verdict = report.quotient, "divisible"
+    else:  # dilate; argparse restricts the choices
         data = load_process_input(args.config, {"gamma": "real"})
         report = stochastic.dilation_report(
             data["gamma"], tol=args.tol, max_restarts=args.restarts, seed=args.seed
         )
-        print(f"verdict={'found' if report.unitary is not None else 'not_found'}")
-        print(f"residual={_fmt(report.residual)}")
-        if report.unitary is not None:
-            _print_matrix("result", complex_matrix_payload(report.unitary))
-    elif args.tool == "qcor":
-        data = load_process_input(args.config, {"u_total": "complex", "u_first": "complex"})
-        result = stochastic.qcor(data["u_total"], data["u_first"])
-        _print_matrix("result", real_matrix_payload(result))
-        print(f"max_column_sum={_fmt(float(np.max(np.abs(result.sum(axis=0)))))}")
-    else:  # unreachable: argparse restricts choices
-        raise ConfigError(f"unknown tool {args.tool!r}")
-    return EXIT_OK
+        found, verdict = report.unitary, "found"
+    return {
+        "verdict": verdict if found is not None else f"not_{verdict}",
+        "residual": report.residual,
+        "result": None if found is None else payload(found),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        print("\n".join(f"{k}={_fmt(v)}" for k, v in report.items() if v is not None))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

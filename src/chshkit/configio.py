@@ -60,25 +60,22 @@ def _complex_entry(value: Any, where: str) -> complex:
     raise ConfigError(f"{where}: expected a number or [real, imag] pair, got {value!r}")
 
 
-def _complex_vector(value: Any, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where}: expected a non-empty list")
-    return np.array([_complex_entry(v, f"{where}[{i}]") for i, v in enumerate(value)])
+def _array(value: Any, where: str, entry, depth: int) -> np.ndarray:
+    """Rectangular array of ``depth`` nested non-empty lists whose leaves pass
+    ``entry(v, where)``: ``_number`` or ``_complex_entry``."""
 
+    def nested(v: Any, at: str, level: int):
+        if level == 0:
+            return entry(v, at)
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{at}: expected a non-empty list")
+        return [nested(x, f"{at}[{i}]", level - 1) for i, x in enumerate(v)]
 
-def _matrix(value: Any, where: str, entry) -> np.ndarray:
-    """Rectangular matrix of ``entry(v, where)`` values: ``_number`` or ``_complex_entry``."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where}: expected a non-empty list of rows")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise ConfigError(f"{where}[{i}]: expected a non-empty row")
-        rows.append([entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ConfigError(f"{where}: ragged rows")
-    return np.array(rows)
+    rows = nested(value, where, depth)
+    try:
+        return np.array(rows)
+    except ValueError as exc:  # inhomogeneous shape
+        raise ConfigError(f"{where}: ragged rows") from exc
 
 
 def _load_json(path) -> dict:
@@ -125,21 +122,14 @@ def load_strategy(path) -> Strategy:
     if kind == "ns_box":
         return NSBox(_number(_require(raw, "e", where), f"{where}.e"))
     if kind == "box":
-        table = _require(raw, "table", where)
-        if not isinstance(table, list):
-            raise ConfigError(f"{where}.table: expected a nested list P[q][r][x][y]")
-        try:
-            entries = np.asarray(table, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{where}.table: not a rectangular numeric table: {exc}") from exc
-        return ExplicitBox(entries)
+        return ExplicitBox(_array(_require(raw, "table", where), f"{where}.table", _number, 4))
     if kind == "quantum":
         dims = _int_list(_require(raw, "dims", where), f"{where}.dims")
         if len(dims) != 2:
             raise ConfigError(f"{where}.dims: expected [dim_a, dim_b]")
-        state = _complex_vector(_require(raw, "state", where), f"{where}.state")
+        state = _array(_require(raw, "state", where), f"{where}.state", _complex_entry, 1)
         mats = {
-            name: _matrix(_require(raw, name, where), f"{where}.{name}", _complex_entry)
+            name: _array(_require(raw, name, where), f"{where}.{name}", _complex_entry, 2)
             for name in ("a0", "a1", "b0", "b1")
         }
         kwargs = {
@@ -159,16 +149,12 @@ def load_strategy(path) -> Strategy:
     )
 
 
-def complex_matrix_payload(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def complex_vector_payload(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
-def real_matrix_payload(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
+def payload(a: np.ndarray) -> list:
+    """JSON-ready nested lists of ``a``; complex entries become ``[real, imag]`` pairs."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        a = np.stack([a.real, a.imag], axis=-1)
+    return a.tolist()
 
 
 def strategy_config(strategy: Strategy) -> dict:
@@ -186,16 +172,16 @@ def strategy_config(strategy: Strategy) -> dict:
     if isinstance(strategy, NSBox):
         return {"kind": "ns_box", "e": strategy.e}
     if isinstance(strategy, ExplicitBox):
-        return {"kind": "box", "table": strategy.table.tolist()}
+        return {"kind": "box", "table": payload(strategy.table)}
     if isinstance(strategy, QuantumSetup):
         return {
             "kind": "quantum",
             "dims": [strategy.dim_a, strategy.dim_b],
-            "state": complex_vector_payload(strategy.state),
-            "a0": complex_matrix_payload(strategy.a0),
-            "a1": complex_matrix_payload(strategy.a1),
-            "b0": complex_matrix_payload(strategy.b0),
-            "b1": complex_matrix_payload(strategy.b1),
+            "state": payload(strategy.state),
+            "a0": payload(strategy.a0),
+            "a1": payload(strategy.a1),
+            "b0": payload(strategy.b0),
+            "b1": payload(strategy.b1),
             "alice_outcome": list(strategy.alice_outcome),
             "bob_outcome": list(strategy.bob_outcome),
         }
@@ -218,5 +204,5 @@ def load_process_input(path, fields: dict[str, str]) -> dict[str, np.ndarray]:
     out = {}
     for name, kind in fields.items():
         entry = _number if kind == "real" else _complex_entry
-        out[name] = _matrix(_require(raw, name, where), f"{where}.{name}", entry)
+        out[name] = _array(_require(raw, name, where), f"{where}.{name}", entry, 2)
     return out

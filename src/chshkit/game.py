@@ -16,7 +16,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .linalg import as_probabilities, substream, tensor
+from .linalg import as_probabilities, as_tolerance, substream, tensor
 from .tsirelson import QuantumSetup
 
 NO_SIGNALING_TOL = 1e-9
@@ -122,6 +122,7 @@ def signaling_witness(box, tol: float = NO_SIGNALING_TOL) -> SignalingWitness | 
     witness records the outcome, own setting, and the two remote settings
     whose marginals differ the most.
     """
+    tol = as_tolerance(tol)
     b = as_correlation_box(box)
     worst: SignalingWitness | None = None
     marg_a = b.sum(axis=1)  # [q, x, y]
@@ -155,10 +156,10 @@ class Deterministic:
 
     def __post_init__(self) -> None:
         for name, value in (("q_of_x", self.q_of_x), ("r_of_y", self.r_of_y)):
-            bits = tuple(int(b) for b in value)
-            if len(bits) != 2 or any(b not in (0, 1) for b in bits):
+            value = tuple(value)
+            if len(value) != 2 or any(b not in (0, 1) for b in value):  # 0.7 is not a bit, 1.0 is
                 raise ValueError(f"{name} must be two bits, got {value!r}")
-            object.__setattr__(self, name, bits)
+            object.__setattr__(self, name, tuple(int(b) for b in value))
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def as_state_vector(v, name: str = "state", norm_tol: float = STATE_NORM_TOL) -> np.ndarray:
+def as_state_vector(v, name: str = "state") -> np.ndarray:
     """Coerce ``v`` to a normalized complex state vector."""
     a = np.asarray(v, dtype=complex)
     if a.ndim != 1 or a.shape[0] < 1:
@@ -102,7 +102,7 @@ def as_state_vector(v, name: str = "state", norm_tol: float = STATE_NORM_TOL) ->
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     norm_sq = float(np.sum(np.abs(a) ** 2))
-    if abs(norm_sq - 1.0) > norm_tol:
+    if abs(norm_sq - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"{name} is not normalized: sum of squared moduli is {norm_sq!r}")
     return a
 
@@ -135,14 +135,14 @@ def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     return bool(np.max(np.abs(gram - np.eye(a.shape[0]))) <= tol)
 
 
-def assert_unitary(u, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
+def assert_unitary(u, name: str = "matrix") -> np.ndarray:
     """Validate unitarity and return the coerced matrix; raise otherwise."""
     a = as_complex_matrix(u, name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     dev = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
-    if not dev <= tol:  # an overflowing Gram matrix gives a NaN deviation
-        raise ValueError(f"{name} is not unitary within {tol:g} (deviation {dev:.3e})")
+    if not dev <= UNITARY_TOL:  # an overflowing Gram matrix gives a NaN deviation
+        raise ValueError(f"{name} is not unitary within {UNITARY_TOL:g} (deviation {dev:.3e})")
     return a
 
 
@@ -166,14 +166,14 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def dictionary_prob(u, q_t: int, q_0: int, tol: float = UNITARY_TOL) -> float:
+def dictionary_prob(u, q_t: int, q_0: int) -> float:
     """Transition probability read off a unitary evolution matrix.
 
     Equals the projector-sandwich trace ``Tr[P_qt u P_q0 u^dag]``; for unitary
     ``u`` that trace collapses to the squared entry modulus, which is what is
     computed here.
     """
-    a = assert_unitary(u, tol, "u")
+    a = assert_unitary(u, "u")
     d = a.shape[0]
     if not (0 <= q_t < d and 0 <= q_0 < d):
         raise ValueError(f"configuration indices ({q_t}, {q_0}) out of range for dimension {d}")
@@ -200,7 +200,7 @@ def amplitude_representation(gamma, phases) -> np.ndarray:
     return np.exp(1j * th) * np.sqrt(np.clip(g, 0.0, None))
 
 
-def dephase(rho, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def dephase(rho) -> np.ndarray:
     """Zero all off-diagonal entries of a density matrix in the configuration basis.
 
     This is the division channel: it wipes coherences while preserving the
@@ -211,10 +211,10 @@ def dephase(rho, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"rho must be square, got shape {a.shape}")
     herm_dev = float(np.max(np.abs(a - a.conj().T)))
-    if herm_dev > tol:
-        raise ValueError(f"rho is not Hermitian within {tol:g} (deviation {herm_dev:.3e})")
+    if herm_dev > HERMITIAN_TOL:
+        raise ValueError(f"rho is not Hermitian within {HERMITIAN_TOL:g} (deviation {herm_dev:.3e})")
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > HERMITIAN_TOL:
         raise ValueError(f"rho must have unit trace, got trace {tr!r}")
     return np.diag(np.diag(a))
 
@@ -227,11 +227,11 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def spectral_norm(h, tol: float = HERMITIAN_TOL) -> float:
+def spectral_norm(h) -> float:
     """Spectral norm of a Hermitian matrix via dense eigendecomposition."""
     a = as_complex_matrix(h, "h")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"h must be square, got shape {a.shape}")
-    if float(np.max(np.abs(a - a.conj().T))) > tol:
+    if float(np.max(np.abs(a - a.conj().T))) > HERMITIAN_TOL:
         raise ValueError("h must be Hermitian")
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))

@@ -12,11 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SUM_TOL, UNITARY_TOL, as_probabilities, as_tolerance, assert_unitary, substream
+from .linalg import SUM_TOL, as_probabilities, as_tolerance, assert_unitary, substream
 
 #: Division events are only ever defined up to a working precision; callers
 #: may widen or tighten this.
 DIVISION_TOL = 1e-8
+
+#: Iteration cap of one dilation restart; a stalled restart stops far sooner.
+_MAX_ITERATIONS = 10_000
 
 
 def as_stochastic_matrix(gamma, name: str = "gamma") -> np.ndarray:
@@ -101,9 +104,9 @@ def divide(gamma_total, gamma_first, tol: float = DIVISION_TOL) -> np.ndarray | 
     return divide_report(gamma_total, gamma_first, tol).quotient
 
 
-def unistochastic_of(u, tol: float = UNITARY_TOL) -> np.ndarray:
+def unistochastic_of(u) -> np.ndarray:
     """Entrywise squared moduli of a unitary matrix; always doubly stochastic."""
-    a = assert_unitary(u, tol, "u")
+    a = assert_unitary(u, "u")
     return np.abs(a) ** 2
 
 
@@ -116,11 +119,7 @@ class DilationReport:
 
 
 def dilation_report(
-    gamma,
-    tol: float = DIVISION_TOL,
-    max_restarts: int = 64,
-    max_iterations: int = 10_000,
-    seed: int = 0,
+    gamma, tol: float = DIVISION_TOL, *, max_restarts: int = 64, seed: int = 0
 ) -> DilationReport:
     """Search for a unitary whose entrywise squared moduli reproduce ``gamma``.
 
@@ -144,15 +143,15 @@ def dilation_report(
             "gamma must be doubly stochastic: only doubly stochastic matrices can equal "
             "the squared moduli of a unitary"
         )
-    if max_restarts < 1 or max_iterations < 1:
-        raise ValueError("max_restarts and max_iterations must be positive")
+    if max_restarts < 1:
+        raise ValueError("max_restarts must be positive")
     roots = np.sqrt(np.clip(g, 0.0, None))
     best_overall = np.inf
     for restart in range(max_restarts):
         m = roots * np.exp(2j * np.pi * substream(seed, restart).random(g.shape))
         best = np.inf
         checkpoint = np.inf
-        for iteration in range(max_iterations):
+        for iteration in range(_MAX_ITERATIONS):
             w, _, vh = np.linalg.svd(m)
             u = w @ vh
             residual = float(np.max(np.abs(np.abs(u) ** 2 - g)))
@@ -169,17 +168,13 @@ def dilation_report(
 
 
 def find_unitary_dilation(
-    gamma,
-    tol: float = DIVISION_TOL,
-    max_restarts: int = 64,
-    max_iterations: int = 10_000,
-    seed: int = 0,
+    gamma, tol: float = DIVISION_TOL, *, max_restarts: int = 64, seed: int = 0
 ) -> np.ndarray | None:
     """Unitary with ``|u|**2 == gamma`` within ``tol``, or None if the search fails."""
-    return dilation_report(gamma, tol, max_restarts, max_iterations, seed).unitary
+    return dilation_report(gamma, tol, max_restarts=max_restarts, seed=seed).unitary
 
 
-def qcor(u_total, u_first, tol: float = UNITARY_TOL) -> np.ndarray:
+def qcor(u_total, u_first) -> np.ndarray:
     """Interference-correction matrix for a fictitious division at an intermediate time.
 
     Given unitary evolutions over the whole interval and over its first leg,
@@ -187,8 +182,8 @@ def qcor(u_total, u_first, tol: float = UNITARY_TOL) -> np.ndarray:
     two-step composition through the intermediate time.  Every column sums to
     zero: both sides of the comparison are normalized probabilities.
     """
-    ut = assert_unitary(u_total, tol, "u_total")
-    uf = assert_unitary(u_first, tol, "u_first")
+    ut = assert_unitary(u_total, "u_total")
+    uf = assert_unitary(u_first, "u_first")
     if ut.shape != uf.shape:
         raise ValueError(f"dimension mismatch: {ut.shape} vs {uf.shape}")
     gamma_total = np.abs(ut) ** 2

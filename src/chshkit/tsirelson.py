@@ -36,12 +36,12 @@ TSIRELSON_SCORE = 1.0 / math.sqrt(2.0)
 CHSH_OPERATOR_CEILING = 2.0 * math.sqrt(2.0)
 
 def _as_outcome_map(values, dim: int, name: str) -> tuple[int, ...]:
-    out = tuple(int(b) for b in values)
-    if len(out) != dim:
-        raise ValueError(f"{name} must map all {dim} configurations, got {len(out)} entries")
-    if any(b not in (0, 1) for b in out):
-        raise ValueError(f"{name} entries must be bits (0 or 1)")
-    return out
+    values = tuple(values)
+    if len(values) != dim:
+        raise ValueError(f"{name} must map all {dim} configurations, got {len(values)} entries")
+    if any(b not in (0, 1) for b in values):  # 0.9 is not a bit, 1.0 is
+        raise ValueError(f"{name} entries must be bits (0 or 1), got {values!r}")
+    return tuple(int(b) for b in values)
 
 
 def _default_outcome_map(dim: int) -> tuple[int, ...]:

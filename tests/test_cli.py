@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chshkit
 from chshkit.cli import main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import NSBox, box_of_strategy, expected_score
@@ -302,6 +306,13 @@ def _quantum_payload(**fields):
 HUGE_INT = 10**400  # a valid JSON number with no float value
 
 
+def _box_payload(first_row):
+    """The NS box (e = 0.5) table with its row ``table[0][0][0]`` replaced."""
+    table = box_of_strategy(NSBox(0.5)).tolist()
+    table[0][0][0] = first_row
+    return {"kind": "box", "table": table}
+
+
 @pytest.mark.parametrize(
     "argv_head, payload",
     [
@@ -313,9 +324,12 @@ HUGE_INT = 10**400  # a valid JSON number with no float value
         (["score"], _quantum_payload(dims=[None, 2])),
         (["score"], _quantum_payload(dims=[2.9, 2])),
         (["score"], _quantum_payload(alice_outcome=[None, 1])),
+        (["score"], _box_payload(["0.375", 0.375])),
+        (["score"], _box_payload([True, 0.375])),
+        (["score"], _box_payload([0.375])),
     ],
     ids=["ns_box_e", "real_entry", "complex_pair", "complex_entry", "box_table",
-         "dims_null", "dims_float", "outcome_null"],
+         "dims_null", "dims_float", "outcome_null", "box_string", "box_bool", "box_ragged"],
 )
 def test_malformed_config_values_are_parse_errors(tmp_path, capsys, argv_head, payload):
     cfg = write_json(tmp_path / "c.json", payload)
@@ -337,3 +351,99 @@ def test_unreadable_json_is_parse_error(tmp_path, capsys, content):
     path.write_bytes(content)
     assert main(["score", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+def _identity_quantum_payload():
+    """Identity unitaries on |00>: both sides always answer 0, uniform score 1/2."""
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    state = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    return {"kind": "quantum", "dims": [2, 2], "state": state,
+            "a0": eye, "a1": eye, "b0": eye, "b1": eye}
+
+
+def test_score_inputs_bound_margin_uses_uniform_score(tmp_path, capsys):
+    cfg = write_json(tmp_path / "q.json", _identity_quantum_payload())
+    assert main(["score", "--config", cfg, "--inputs", "1,0,0,0"]) == 0
+    report = report_of(capsys)
+    assert float(report["exact_score"]) == 1.0
+    assert float(report["bound_margin"]) == TSIRELSON_SCORE - 0.5
+    assert main(["audit", "--config", cfg]) == 0
+    assert report_of(capsys)["bound_margin"] == report["bound_margin"]
+
+
+def _echo_table():
+    """Alice echoes Bob's input; Bob answers a fair coin."""
+    table = np.zeros((2, 2, 2, 2))
+    for x in (0, 1):
+        for y in (0, 1):
+            table[y, :, x, y] = 0.5
+    return table.tolist()
+
+
+_SCORE_KEYS = ["exact_score", "exact_win_probability", "ns_check"]
+_SIMULATE_KEYS = ["empirical_score", "empirical_win_rate", "n_rounds", "seed"]
+_WITNESS_KEYS = ["ns_witness_side", "ns_witness_outcome", "ns_witness_own_setting",
+                 "ns_witness_remote_settings", "ns_witness_delta"]
+_DIVISIBLE = {"gamma_total": [[0.7, 0.4], [0.3, 0.6]], "gamma_first": [[1.0, 0.0], [0.0, 1.0]]}
+_NOT_DIVISIBLE = {"gamma_total": [[1.0, 0.0], [0.0, 1.0]], "gamma_first": [[0.5, 0.5], [0.5, 0.5]]}
+_ROTATIONS = {
+    "u_total": [[[0.6, 0.0], [-0.8, 0.0]], [[0.8, 0.0], [0.6, 0.0]]],
+    "u_first": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+}
+
+#: case -> (argv before the config path, config or None, report keys in printed order)
+REPORT_KEYS = {
+    "score_classical": (["score"], {"kind": "ns_box", "e": 0.5}, _SCORE_KEYS),
+    "score_quantum": (["score"], "quantum", _SCORE_KEYS + ["bound_margin"]),
+    "score_quantum_inputs": (["score", "--inputs", "0.1,0.2,0.3,0.4"], "quantum",
+                             _SCORE_KEYS + ["bound_margin"]),
+    "simulate_classical": (["simulate", "--n", "10", "--seed", "0", "--out", "OUT"],
+                           {"kind": "ns_box", "e": 0.5}, _SCORE_KEYS + _SIMULATE_KEYS),
+    "simulate_quantum": (["simulate", "--n", "10", "--seed", "7", "--out", "OUT"], "quantum",
+                         _SCORE_KEYS + ["bound_margin"] + _SIMULATE_KEYS),
+    "audit_pass": (["audit"], {"kind": "ns_box", "e": 0.5}, ["ns_check"]),
+    "audit_fail": (["audit"], {"kind": "box", "table": _echo_table()}, ["ns_check"] + _WITNESS_KEYS),
+    "audit_quantum": (["audit"], "quantum", ["ns_check", "factorization", "bound_margin"]),
+    "divide_divisible": (["process", "--tool", "divide"], _DIVISIBLE,
+                         ["verdict", "residual", "result"]),
+    "divide_not_divisible": (["process", "--tool", "divide"], _NOT_DIVISIBLE,
+                             ["verdict", "residual"]),
+    "dilate_found": (["process", "--tool", "dilate", "--seed", "1"],
+                     {"gamma": [[0.5, 0.5], [0.5, 0.5]]}, ["verdict", "residual", "result"]),
+    "qcor": (["process", "--tool", "qcor"], _ROTATIONS, ["result", "max_column_sum"]),
+    "optimize": (["optimize", "--restarts", "1", "--seed", "0", "--out", "OUT"], None,
+                 ["best_score", "best_win_probability", "bound_margin", "restarts", "seed",
+                  "config_path", "trace_path"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_KEYS))
+def test_report_keys_and_order(tmp_path, capsys, case):
+    head, config, keys = REPORT_KEYS[case]
+    if config == "quantum":
+        config = strategy_config(canonical_setup())
+    argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in head]
+    if config is not None:
+        argv += ["--config", write_json(tmp_path / "c.json", config)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.partition("=")[0] for line in lines] == keys
+
+
+def test_python_dash_m_entry_point_returns_exit_codes(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(payload):
+        cfg = write_json(tmp_path / "c.json", payload)
+        return subprocess.run([sys.executable, "-m", "chshkit", "score", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = run({"kind": "ns_box", "e": 0.5})
+    assert ok.returncode == 0
+    assert ok.stdout.splitlines()[0] == "exact_score=0.5"
+    assert ok.stderr == ""
+    bad = run({"kind": "ns_box"})
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("parse error:")

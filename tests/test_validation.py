@@ -1,21 +1,36 @@
 """The shared probability-table rule, checked through every validator that uses it.
 
 Entries must be finite probabilities in [0, 1] within 1e-12 and sums must be
-1 within 1e-10; negatives inside the slack are clipped to exactly zero.
+1 within 1e-10; negatives inside the slack are clipped to exactly zero.  The
+same holds for the other shared input rules: every tolerance a check accepts
+must be finite and positive, and every bit must be exactly 0 or 1.
 """
+
+import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from chshkit.causality import as_joint_conditional, swap_joint
+from chshkit.causality import (
+    as_joint_conditional,
+    causally_independent,
+    influences,
+    non_interacting,
+    swap_joint,
+)
 from chshkit.game import (
     Deterministic,
     SharedRandomness,
     as_correlation_box,
     as_input_distribution,
     box_of_strategy,
+    is_no_signaling,
+    signaling_witness,
 )
+from chshkit.linalg import basis_state
 from chshkit.stochastic import as_distribution, as_stochastic_matrix
+from chshkit.tsirelson import QuantumSetup
 
 _PURE = (Deterministic((0, 0), (0, 0)), Deterministic((1, 1), (1, 1)))
 
@@ -108,3 +123,56 @@ def test_validator_keeps_entry_within_slack_above_one(kind):
     validate, valid, _, _, one = VALIDATORS[kind]
     table = _with(valid, one, 1.0 + 1e-13)
     assert np.array_equal(validate(table), table)
+
+
+def _echo_box():
+    """Alice echoes Bob's input: a signaling box."""
+    box = np.zeros((2, 2, 2, 2))
+    for x, y, r in product((0, 1), repeat=3):
+        box[y, r, x, y] = 0.5
+    return box
+
+
+#: Checks that compare against a tolerance, each on an input that fails it.
+TOLERANT_CHECKS = {
+    "is_no_signaling": lambda tol: is_no_signaling(_echo_box(), tol=tol),
+    "signaling_witness": lambda tol: signaling_witness(_echo_box(), tol=tol),
+    "influences": lambda tol: influences(swap_joint(2), "r_on_q", tol=tol),
+    "causally_independent": lambda tol: causally_independent(swap_joint(2), tol=tol),
+    "non_interacting": lambda tol: non_interacting(swap_joint(2), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("check", sorted(TOLERANT_CHECKS))
+def test_checks_reject_bad_tolerance(check, tol):
+    with pytest.raises(ValueError, match="tol"):
+        TOLERANT_CHECKS[check](tol)
+
+
+def _setup(**outcomes):
+    eye = np.eye(2)
+    return QuantumSetup(basis_state(4, 0), eye, eye, eye, eye, **outcomes)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Deterministic((0.7, 1), (0, 0)),
+        lambda: Deterministic((0, 0), (1, 0.5)),
+        lambda: Deterministic((0, 1), ("1", 0)),
+        lambda: _setup(alice_outcome=(0.9, 1.2)),
+        lambda: _setup(bob_outcome=(0, 1.5)),
+    ],
+    ids=["q_of_x", "r_of_y", "string_bit", "alice_outcome", "bob_outcome"],
+)
+def test_non_integral_bits_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_integral_bits_are_stored_as_ints():
+    det = Deterministic((1.0, np.int64(0)), (True, 0))
+    assert det.q_of_x == (1, 0) and det.r_of_y == (1, 0)
+    assert all(type(b) is int for b in det.q_of_x + det.r_of_y)
+    assert _setup(alice_outcome=(1.0, 0.0)).alice_outcome == (1, 0)
