@@ -19,6 +19,7 @@ from .game import (
     NSBox,
     RoundRecord,
     SharedRandomness,
+    SimulationChunk,
     SimulationResult,
     Strategy,
     box_of_strategy,
@@ -26,6 +27,7 @@ from .game import (
     expected_score,
     is_no_signaling,
     ns_box,
+    simulate_chunks,
     simulate_rounds,
     win_probability,
 )
@@ -72,6 +74,7 @@ __all__ = [
     "QuantumSetup",
     "RoundRecord",
     "SharedRandomness",
+    "SimulationChunk",
     "SimulationResult",
     "Strategy",
     "TSIRELSON_SCORE",
@@ -103,6 +106,7 @@ __all__ = [
     "qcor",
     "rotation",
     "score_of_setup",
+    "simulate_chunks",
     "simulate_rounds",
     "tensor",
     "unistochastic_of",

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .linalg import as_probabilities, as_tolerance, substream, tensor
+from .linalg import as_probabilities, as_seed, as_tolerance, substream, tensor
 from .tsirelson import QuantumSetup
 
 NO_SIGNALING_TOL = 1e-9
@@ -345,6 +345,16 @@ def _outcome_cumulatives(box: np.ndarray) -> np.ndarray:
     return cum
 
 
+class SimulationChunk(NamedTuple):
+    """The column arrays of one chunk of rounds, the first being round ``start``."""
+
+    start: int
+    x: np.ndarray
+    y: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+
+
 def _simulate_chunk(cum: np.ndarray, seed: int, chunk_index: int, count: int):
     u = substream(seed, chunk_index).random((2, count))
     setting = np.minimum((u[0] * 4.0).astype(np.int8), 3)
@@ -352,23 +362,30 @@ def _simulate_chunk(cum: np.ndarray, seed: int, chunk_index: int, count: int):
     return setting >> 1, setting & 1, outcome >> 1, outcome & 1
 
 
-def simulate_rounds(strategy: Strategy, n: int, seed: int) -> SimulationResult:
-    """Play ``n`` seeded rounds of a strategy.
+def simulate_chunks(strategy: Strategy, n: int, seed: int) -> Iterator[SimulationChunk]:
+    """Play ``n`` seeded rounds of a strategy, one chunk at a time.
 
     Each round draws the input pair uniformly and the outcome pair by
     inverse-CDF sampling from the strategy's box conditioned on the inputs.
-    Rounds are produced in fixed-size chunks whose substreams depend only on
-    ``(seed, chunk_index)``, so a longer run extends a shorter one's whole
-    chunks unchanged.
+    Rounds are produced in chunks of ``CHUNK_ROUNDS`` whose substreams depend
+    only on ``(seed, chunk_index)``, so a longer run extends a shorter one's
+    whole chunks unchanged.  ``n`` and ``seed`` are checked and the box is
+    built by this call, before the first chunk is drawn, so a caller can
+    fail before it opens its output.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    seed = int(seed)
     cum = _outcome_cumulatives(box_of_strategy(strategy))
-    parts = [
-        _simulate_chunk(cum, seed, i, min(CHUNK_ROUNDS, n - start))
+    seed = as_seed(seed)
+    return (
+        SimulationChunk(start, *_simulate_chunk(cum, seed, i, min(CHUNK_ROUNDS, n - start)))
         for i, start in enumerate(range(0, n, CHUNK_ROUNDS))
-    ]
-    x, y, q, r = (np.concatenate(column) for column in zip(*parts))
+    )
+
+
+def simulate_rounds(strategy: Strategy, n: int, seed: int) -> SimulationResult:
+    """Play ``n`` seeded rounds of a strategy: :func:`simulate_chunks`, joined."""
+    _, *columns = zip(*simulate_chunks(strategy, n, seed))
+    x, y, q, r = (np.concatenate(column) for column in columns)
     win = (q ^ r) == (x & y)
-    return SimulationResult(n=n, seed=seed, x=x, y=y, q=q, r=r, win=win)
+    return SimulationResult(n=n, seed=int(seed), x=x, y=y, q=q, r=r, win=win)

@@ -36,13 +36,18 @@ def substream(seed: int, k: int) -> np.random.Generator:
 
     Every seeded routine draws its randomness here, keyed by ``(seed, k)``
     for its own counter ``k`` (a chunk or a restart), so a result depends
-    only on the seed and never on how the work is scheduled.  Seeds must lie
-    in [0, 2**64); anything else is rejected rather than wrapped.
+    only on the seed and never on how the work is scheduled.
     """
+    key = np.array([as_seed(seed), k], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def as_seed(seed) -> int:
+    """Validate a seed: an integer in [0, 2**64), rejected rather than wrapped."""
     seed = int(seed)
     if not 0 <= seed <= _UINT64_MAX:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+    return seed
 
 
 def as_tolerance(tol) -> float:

@@ -36,7 +36,7 @@ TSIRELSON_SCORE = 1.0 / math.sqrt(2.0)
 CHSH_OPERATOR_CEILING = 2.0 * math.sqrt(2.0)
 
 def _as_outcome_map(values, dim: int, name: str) -> tuple[int, ...]:
-    values = tuple(values)
+    values = tuple(values) or _default_outcome_map(dim)
     if len(values) != dim:
         raise ValueError(f"{name} must map all {dim} configurations, got {len(values)} entries")
     if any(b not in (0, 1) for b in values):  # 0.9 is not a bit, 1.0 is
@@ -84,8 +84,8 @@ class QuantumSetup:
             raise ValueError(
                 f"state dimension {state.shape[0]} does not match joint dimension {da * db}"
             )
-        alice = _as_outcome_map(self.alice_outcome or _default_outcome_map(da), da, "alice_outcome")
-        bob = _as_outcome_map(self.bob_outcome or _default_outcome_map(db), db, "bob_outcome")
+        alice = _as_outcome_map(self.alice_outcome, da, "alice_outcome")
+        bob = _as_outcome_map(self.bob_outcome, db, "bob_outcome")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 import chshkit
 from chshkit.cli import main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
-from chshkit.game import NSBox, box_of_strategy, expected_score
+from chshkit.game import CHUNK_ROUNDS, NSBox, box_of_strategy, expected_score
 from chshkit.tsirelson import TSIRELSON_SCORE, canonical_setup
 
 
@@ -447,3 +448,127 @@ def test_python_dash_m_entry_point_returns_exit_codes(tmp_path):
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.startswith("parse error:")
+
+
+SIMULATE_CONFIGS = {
+    "ns_box": {"kind": "ns_box", "e": 0.7},
+    "mixture": {"kind": "mixture", "components": [
+        {"weight": 0.25, "q_of_x": [0, 0], "r_of_y": [0, 0]},
+        {"weight": 0.75, "q_of_x": [0, 1], "r_of_y": [1, 0]},
+    ]},
+}
+
+
+def simulate_config(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    if name == "quantum":
+        save_strategy(canonical_setup(), path)
+        return str(path)
+    return write_json(path, SIMULATE_CONFIGS[name])
+
+
+#: sha256 of the record file and of stdout, computed with the per-row formatter
+#: that the chunked one replaced: (config, n, seed) -> (records, stdout).
+SIMULATE_DIGESTS = {
+    ("quantum", 1, 7): (
+        "cf34fe2481d9825d1d5a664232c41924e828ec397041643f4da4a40b52f59060",
+        "b876a4b719ac10ba3d5514d8e67ee00c27d384628233d65bf08a55c5b4cf4f60",
+    ),
+    ("quantum", 65536, 7): (
+        "0dd62f606ac6d06e4a9be4ca53b611d36a4c9a4bf4a5357b347bd7ae88163328",
+        "917c9d13577f1f7de8ca13ee2aa4145b0ffb4c2bc48dd3879d8bc9ba17060826",
+    ),
+    ("quantum", 65537, 7): (
+        "e14955ab871a0c0b051b228fd40ee017fc227c8159c43e775212ed91e324febe",
+        "c388ab47b645c4c1f5d5b28a4556c1e8209f174ea5036dc35b5d0593f44861b9",
+    ),
+    ("quantum", 10**6, 7): (
+        "e40020d494bf9ca628c3e95fb4b9e61745e6a1eb710b04c6fda586b1dd8cc536",
+        "f7785e8d0ff496ef7cccdaa7ca95f447baa2f30ce84ca8b82989e499486a8183",
+    ),
+    ("ns_box", 1, 0): (
+        "8f06be135b8a4da8de8e9f3c9a38c69a469582d2e337f784436c980d9c97e868",
+        "48b5f8988d879e6c045a9da7ae0e6d99beca537bc23c1610cf2a5e0fac94f0f5",
+    ),
+    ("ns_box", 65536, 0): (
+        "d5b9a50718667f75381ea80031a94b4e660a2d9658c211e52cf48bcfdac89e0b",
+        "444c5f99dcb4a26423087bc3877edd6ccbc8a491262dcdbb95a05b32a869cff3",
+    ),
+    ("ns_box", 65537, 0): (
+        "945546d67b118249baeb45a26a78b39bdd03318ee37652dd18b3b656f24b3062",
+        "7d0f8d0d56ff6df99d33fc3ec5f1b2c899ca39d1c4baa7f9ba38369e28692f71",
+    ),
+    ("ns_box", 10**6, 0): (
+        "f807a77501e7582daa3d2819d7507a67bf65b9dce5a462176896594f021b794e",
+        "5a441a716f2f7ff85bb33f52e0f73001a08f9281c5c337c190af8132dcfba2f1",
+    ),
+    ("mixture", 1, 2**64 - 1): (
+        "eb6d30e596a851bb72e67925421a0509c46a30d353eba841d81c943952a5d79b",
+        "d25c3fe0bf0e45d24252e821616435728f15f7065754870c92fd0cd6a23165de",
+    ),
+    ("mixture", 65536, 2**64 - 1): (
+        "070ca10a98b0b040a7a17a06203a7aa31a947d0acb249879d287542018106f93",
+        "920a0acdadbce83f0db2fd9663a814959dd6c7312f2879b98042289c3505d3fa",
+    ),
+    ("mixture", 65537, 2**64 - 1): (
+        "3d95757f96e01d45f3219ab9bc6ffb6bdfd430b2baf42e4fdb04f6d2186136cc",
+        "56f84b9cf0aa8464d07e77c662cb934d5b1550c99289a9e2f55c15ccb005c146",
+    ),
+    ("mixture", 10**6, 2**64 - 1): (
+        "0e3bdc0e458b32146a84f2cd378c794860af545f7596a3a147b074ffd725169e",
+        "79eef38511b6c8fac6b3b019ac72d3187c532c1231fa6437ab71efe23e3798cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, n, seed", sorted(SIMULATE_DIGESTS, key=str))
+def test_simulate_outputs_are_pinned(tmp_path, capsys, name, n, seed):
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--config", simulate_config(tmp_path, name), "--n", str(n),
+            "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
+               hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == SIMULATE_DIGESTS[name, n, seed]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+@pytest.mark.parametrize("n, seed", [(4, -1), (4, 2**64), (0, 1)], ids=["seed_-1", "seed_2**64", "n_0"])
+def test_simulate_bad_arguments_leave_out_untouched(tmp_path, capsys, existing, n, seed):
+    out = tmp_path / "r.csv"
+    if existing:
+        out.write_text("keep me\n")
+    argv = ["simulate", "--config", simulate_config(tmp_path, "ns_box"), "--n", str(n),
+            "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+    assert (out.read_text() == "keep me\n") if existing else not out.exists()
+
+
+#: Starts the command in its argv and prints its exit code and ru_maxrss.  A
+#: process's ru_maxrss also counts the peak of the process it was spawned
+#: from, so the command is spawned from this small interpreter, not from pytest.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux only")
+def test_simulate_peak_memory_does_not_grow_with_n(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = simulate_config(tmp_path, "ns_box")
+
+    def peak_kb(n):
+        argv = [sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m", "chshkit", "simulate",
+                "--config", cfg, "--n", str(n), "--seed", "5", "--out", str(tmp_path / "r.csv")]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
+        code, peak = (int(v) for v in run.stdout.split())
+        assert code == 0
+        return peak
+
+    small, large = peak_kb(2 * CHUNK_ROUNDS), peak_kb(32 * CHUNK_ROUNDS)
+    assert large - small <= 16 * 1024, (small, large)

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshkit.cli import main
+from chshkit.cli import format_records, main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
     Deterministic,
     ExplicitBox,
     NSBox,
     SharedRandomness,
+    SimulationChunk,
     box_of_strategy,
     expected_score,
     ns_box,
@@ -165,3 +166,30 @@ def test_cli_exit_codes_on_fuzzed_configs(workdir, data):
     assert code in (0, 2, 3, 4), err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
     assert "nan" not in out.getvalue().lower()  # a success reports finite numbers only
+
+
+def _records_oracle(start, x, y, q, r):
+    head = "round_index,x,y,q,r,win\n" if start == 0 else ""
+    return head + "".join(
+        f"{start + i},{a},{b},{c},{d},{int((c ^ d) == (a & b))}\n"
+        for i, (a, b, c, d) in enumerate(zip(x, y, q, r))
+    )
+
+
+@st.composite
+def record_chunks(draw):
+    count = draw(st.integers(1, 300))
+    if draw(st.booleans()):  # straddle a change of index width inside the chunk
+        start = max(0, draw(st.sampled_from([10, 100_000, 1_000_000])) - draw(st.integers(1, count)))
+    else:
+        start = draw(st.one_of(st.just(0), st.integers(0, 10**15)))
+    rows = draw(st.lists(st.tuples(bits, bits, bits, bits), min_size=count, max_size=count))
+    return start, [list(column) for column in zip(*rows)]
+
+
+@PROPERTY
+@given(chunk=record_chunks())
+def test_format_records_matches_per_row_oracle(chunk):
+    start, columns = chunk
+    rounds = SimulationChunk(start, *(np.array(c, dtype=np.int8) for c in columns))
+    assert format_records(rounds, start) == _records_oracle(start, *columns)

@@ -176,3 +176,11 @@ def test_integral_bits_are_stored_as_ints():
     assert det.q_of_x == (1, 0) and det.r_of_y == (1, 0)
     assert all(type(b) is int for b in det.q_of_x + det.r_of_y)
     assert _setup(alice_outcome=(1.0, 0.0)).alice_outcome == (1, 0)
+
+
+@pytest.mark.parametrize("container", [tuple, list, np.array], ids=["tuple", "list", "array"])
+def test_outcome_map_accepts_any_sequence(container):
+    setup = _setup(alice_outcome=container([1, 0]), bob_outcome=container([0, 0]))
+    assert setup.alice_outcome == (1, 0) and setup.bob_outcome == (0, 0)
+    assert all(type(b) is int for b in setup.alice_outcome + setup.bob_outcome)
+    assert _setup(alice_outcome=container([])).alice_outcome == (0, 1)
