@@ -131,21 +131,34 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _as_square(m, name: str) -> np.ndarray:
+    a = as_complex_matrix(m, name)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def _unitary_deviation(u, name: str) -> tuple[np.ndarray, float]:
+    a = _as_square(u, name)
+    return a, float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+
+
+def _as_hermitian(h, name: str) -> np.ndarray:
+    a = _as_square(h, name)
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL:g} (deviation {dev:.3e})")
+    return a
+
+
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     """True iff ``u.conj().T @ u`` deviates from the identity by at most ``tol``."""
-    a = as_complex_matrix(u, "u")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"u must be square to test unitarity, got shape {a.shape}")
-    gram = a.conj().T @ a
-    return bool(np.max(np.abs(gram - np.eye(a.shape[0]))) <= tol)
+    return _unitary_deviation(u, "u")[1] <= tol
 
 
 def assert_unitary(u, name: str = "matrix") -> np.ndarray:
     """Validate unitarity and return the coerced matrix; raise otherwise."""
-    a = as_complex_matrix(u, name)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    dev = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+    a, dev = _unitary_deviation(u, name)
     if not dev <= UNITARY_TOL:  # an overflowing Gram matrix gives a NaN deviation
         raise ValueError(f"{name} is not unitary within {UNITARY_TOL:g} (deviation {dev:.3e})")
     return a
@@ -212,12 +225,7 @@ def dephase(rho) -> np.ndarray:
     trace, and maps positive-semidefinite inputs to positive-semidefinite
     outputs.
     """
-    a = as_complex_matrix(rho, "rho")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"rho must be square, got shape {a.shape}")
-    herm_dev = float(np.max(np.abs(a - a.conj().T)))
-    if herm_dev > HERMITIAN_TOL:
-        raise ValueError(f"rho is not Hermitian within {HERMITIAN_TOL:g} (deviation {herm_dev:.3e})")
+    a = _as_hermitian(rho, "rho")
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > HERMITIAN_TOL:
         raise ValueError(f"rho must have unit trace, got trace {tr!r}")
@@ -234,9 +242,4 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def spectral_norm(h) -> float:
     """Spectral norm of a Hermitian matrix via dense eigendecomposition."""
-    a = as_complex_matrix(h, "h")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"h must be square, got shape {a.shape}")
-    if float(np.max(np.abs(a - a.conj().T))) > HERMITIAN_TOL:
-        raise ValueError("h must be Hermitian")
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(_as_hermitian(h, "h")))))

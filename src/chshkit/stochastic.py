@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SUM_TOL, as_probabilities, as_tolerance, assert_unitary, substream
+from .linalg import MAX_DIM, SUM_TOL, as_probabilities, as_tolerance, assert_unitary, substream
 
 #: Division events are only ever defined up to a working precision; callers
 #: may widen or tighten this.
@@ -138,6 +138,8 @@ def dilation_report(
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"gamma must be square, got shape {g.shape}")
+    if g.shape[0] > MAX_DIM:  # restarts this large take seconds each: fail before the first
+        raise ValueError(f"gamma is {g.shape[0]}x{g.shape[0]}; sides above {MAX_DIM} are not supported")
     if not is_doubly_stochastic(g, tol=max(tol, SUM_TOL)):
         raise ValueError(
             "gamma must be doubly stochastic: only doubly stochastic matrices can equal "

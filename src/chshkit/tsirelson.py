@@ -23,7 +23,6 @@ from .linalg import (
     haar_unitary,
     rotation,
     substream,
-    tensor,
 )
 
 #: Largest joint dimension handled by the dense operator pipeline.
@@ -133,45 +132,46 @@ def prepare_state(prep: PreparationUnitary) -> np.ndarray:
     return prep.c_psi @ basis_state(da * db, q0 * db + r0)
 
 
-def _local_pair(side: str, setting: int, setup: QuantumSetup) -> tuple[np.ndarray, tuple[int, ...]]:
+def _local_dichotomic(u: np.ndarray, outcome_map: tuple[int, ...]) -> np.ndarray:
+    """One side's +-1 observable on its own space: ``u^dag S u`` for the outcome signs ``S``."""
+    signs = 1.0 - 2.0 * np.array(outcome_map)
+    return u.conj().T @ (signs[:, None] * u)
+
+
+def dichotomic(side: str, setting: int, setup: QuantumSetup) -> np.ndarray:
+    """One side's local +-1 observable, padded with the identity on the other side."""
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     if setting not in (0, 1):
         raise ValueError(f"setting must be 0 or 1, got {setting!r}")
     if side == "a":
-        return (setup.a0 if setting == 0 else setup.a1), setup.alice_outcome
-    return (setup.b0 if setting == 0 else setup.b1), setup.bob_outcome
+        local = _local_dichotomic(setup.a0 if setting == 0 else setup.a1, setup.alice_outcome)
+        return np.kron(local, np.eye(setup.dim_b))
+    local = _local_dichotomic(setup.b0 if setting == 0 else setup.b1, setup.bob_outcome)
+    return np.kron(np.eye(setup.dim_a), local)
 
 
 def outcome_observable(side: str, setting: int, outcome: int, setup: QuantumSetup) -> np.ndarray:
     """Hermitian projector for one side reporting one outcome bit, on the joint space.
 
-    The local operation is conjugated around the coarse-grained configuration
-    projector for the requested bit, then padded with the identity on the
-    other side.
+    It is ``(1 + s) / 2`` for outcome 0 and ``(1 - s) / 2`` for outcome 1,
+    where ``s`` is the side's dichotomic observable.
     """
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    u, outcome_map = _local_pair(side, setting, setup)
-    mask = np.array([1.0 if b == outcome else 0.0 for b in outcome_map])
-    local = u.conj().T @ (mask[:, None] * u)
-    if side == "a":
-        return tensor(local, np.eye(setup.dim_b, dtype=complex))
-    return tensor(np.eye(setup.dim_a, dtype=complex), local)
+    s = dichotomic(side, setting, setup)
+    return (np.eye(s.shape[0]) + (1 - 2 * outcome) * s) / 2.0
 
 
-def dichotomic(side: str, setting: int, setup: QuantumSetup) -> np.ndarray:
-    """Difference of the two outcome projectors: Hermitian with eigenvalues +-1."""
-    return outcome_observable(side, setting, 0, setup) - outcome_observable(side, setting, 1, setup)
+def _chsh_of_local(sa0, sa1, sb0, sb1) -> np.ndarray:
+    return np.kron(sa0, sb0 + sb1) + np.kron(sa1, sb0 - sb1)
 
 
 def chsh_operator(setup: QuantumSetup) -> np.ndarray:
-    """The CHSH operator built from the setup's four dichotomic observables."""
-    sa0 = dichotomic("a", 0, setup)
-    sa1 = dichotomic("a", 1, setup)
-    sb0 = dichotomic("b", 0, setup)
-    sb1 = dichotomic("b", 1, setup)
-    return sa0 @ (sb0 + sb1) + sa1 @ (sb0 - sb1)
+    """The CHSH operator ``A0 (x) (B0 + B1) + A1 (x) (B0 - B1)`` of the four local observables."""
+    sa0, sa1 = (_local_dichotomic(u, setup.alice_outcome) for u in (setup.a0, setup.a1))
+    sb0, sb1 = (_local_dichotomic(u, setup.bob_outcome) for u in (setup.b0, setup.b1))
+    return _chsh_of_local(sa0, sa1, sb0, sb1)
 
 
 def score_of_setup(setup: QuantumSetup, state=None) -> float:
@@ -200,12 +200,6 @@ def random_setup(dims: tuple[int, int], rng: np.random.Generator) -> QuantumSetu
 # --------------------------------------------------------------------------
 # Optimizer
 # --------------------------------------------------------------------------
-
-
-def _local_dichotomic(u: np.ndarray, outcome_map: tuple[int, ...]) -> np.ndarray:
-    """One side's +-1 observable on its own space: ``u^dag S u`` for the outcome signs ``S``."""
-    signs = 1.0 - 2.0 * np.array(outcome_map)
-    return u.conj().T @ (signs[:, None] * u)
 
 
 def _best_response(m: np.ndarray, outcome_map: tuple[int, ...], diagonal: bool):
@@ -238,30 +232,31 @@ def _seesaw(setup: QuantumSetup, tol: float, restrict_classical: bool) -> Quantu
     held fixed, so the score never decreases from round to round.
     """
     da, db = setup.dim_a, setup.dim_b
+    alice, bob = setup.alice_outcome, setup.bob_outcome
     a, b = (setup.a0, setup.a1), (setup.b0, setup.b1)
+    sa0, sa1 = (_local_dichotomic(u, alice) for u in a)
     state = basis_state(da * db, 0)  # stays pinned under restrict_classical
     best = -math.inf
     for _ in range(_MAX_ROUNDS):
+        sb0, sb1 = (_local_dichotomic(u, bob) for u in b)
         if not restrict_classical:
-            state = np.linalg.eigh(chsh_operator(setup))[1][:, -1]
+            state = np.linalg.eigh(_chsh_of_local(sa0, sa1, sb0, sb1))[1][:, -1]
         psi = state.reshape(da, db)
-        sb0, sb1 = (_local_dichotomic(u, setup.bob_outcome) for u in b)
         a = tuple(
-            _best_response(psi @ c.T @ psi.conj().T, setup.alice_outcome, restrict_classical)[0]
+            _best_response(psi @ c.T @ psi.conj().T, alice, restrict_classical)[0]
             for c in (sb0 + sb1, sb0 - sb1)
         )
-        sa0, sa1 = (_local_dichotomic(u, setup.alice_outcome) for u in a)
+        sa0, sa1 = (_local_dichotomic(u, alice) for u in a)
         responses = [
-            _best_response((psi.conj().T @ d @ psi).T, setup.bob_outcome, restrict_classical)
+            _best_response((psi.conj().T @ d @ psi).T, bob, restrict_classical)
             for d in (sa0 + sa1, sa0 - sa1)
         ]
         b = tuple(u for u, _ in responses)
-        setup = QuantumSetup(state, a[0], a[1], b[0], b[1])
         score = sum(value for _, value in responses) / 4.0
         if score - best < tol:
             break
         best = score
-    return setup
+    return QuantumSetup(state, a[0], a[1], b[0], b[1], alice, bob)
 
 
 @dataclass

@@ -12,6 +12,7 @@ import chshkit
 from chshkit.cli import main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import CHUNK_ROUNDS, NSBox, box_of_strategy, expected_score
+from chshkit.linalg import MAX_DIM
 from chshkit.tsirelson import TSIRELSON_SCORE, canonical_setup
 
 
@@ -247,6 +248,15 @@ def test_process_invariant_violation(tmp_path, capsys):
     cfg = write_json(tmp_path / "m.json", {"gamma": [[0.5, 0.6], [0.5, 0.4]]})
     assert main(["process", "--tool", "dilate", "--config", cfg]) == 3
     assert "doubly stochastic" in capsys.readouterr().err
+
+
+def test_process_dilate_rejects_oversized_input_before_searching(tmp_path, capsys):
+    side = MAX_DIM + 1
+    cfg = write_json(tmp_path / "m.json", {"gamma": np.full((side, side), 1.0 / side).tolist()})
+    assert main(["process", "--tool", "dilate", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"gamma is {side}x{side}; sides above {MAX_DIM} are not supported" in captured.err
 
 
 def test_unknown_kind_is_parse_error(tmp_path, capsys):

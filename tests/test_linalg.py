@@ -244,3 +244,27 @@ def test_substream_rejects_out_of_range_seed():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError, match="seed"):
             substream(seed, 0)
+
+
+def test_dephase_and_spectral_norm_share_one_hermitian_check():
+    skew = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="rho is not Hermitian within 1e-10"):
+        dephase(skew)
+    with pytest.raises(ValueError, match="h is not Hermitian within 1e-10"):
+        spectral_norm(skew)
+    for check in (dephase, spectral_norm):
+        with pytest.raises(ValueError, match="must be square"):
+            check(np.ones((2, 3)))
+
+
+def test_is_unitary_and_assert_unitary_share_one_check():
+    near = rotation(0.4) * (1 + 2e-11)  # Gram deviation 4e-11, inside the default tolerance
+    far = rotation(0.4) * 1.001
+    for m in (haar_unitary(3, np.random.default_rng(23)), near):
+        assert is_unitary(m)
+        assert_unitary(m)
+    assert not is_unitary(far)
+    with pytest.raises(ValueError, match="not unitary"):
+        assert_unitary(far)
+    with pytest.raises(ValueError, match="u must be square, got shape"):
+        is_unitary(np.ones((2, 3)))

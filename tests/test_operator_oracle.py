@@ -1,0 +1,124 @@
+"""The operator route against a joint-space projector oracle.
+
+``chsh_operator``, ``dichotomic`` and ``outcome_observable`` are built from
+each side's local +-1 observable.  The oracle below builds them the other
+way: one coarse-grained outcome projector per side, setting and bit,
+conjugated by the local unitary and padded to the joint space, with the
+observables formed as differences and products of those joint projectors.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chshkit import tsirelson
+from chshkit.linalg import tensor
+from chshkit.tsirelson import (
+    MAX_JOINT_DIM,
+    chsh_operator,
+    dichotomic,
+    outcome_observable,
+    random_setup,
+)
+
+ORACLE_TOL = 1e-13
+
+DIMS = [
+    (da, db)
+    for da in range(1, MAX_JOINT_DIM + 1)
+    for db in range(1, MAX_JOINT_DIM + 1)
+    if da * db <= MAX_JOINT_DIM
+]
+
+
+def oracle_outcome_observable(side, setting, outcome, setup):
+    u = {"a": (setup.a0, setup.a1), "b": (setup.b0, setup.b1)}[side][setting]
+    outcome_map = setup.alice_outcome if side == "a" else setup.bob_outcome
+    mask = np.array([1.0 if b == outcome else 0.0 for b in outcome_map])
+    local = u.conj().T @ (mask[:, None] * u)
+    if side == "a":
+        return tensor(local, np.eye(setup.dim_b, dtype=complex))
+    return tensor(np.eye(setup.dim_a, dtype=complex), local)
+
+
+def oracle_dichotomic(side, setting, setup):
+    return oracle_outcome_observable(side, setting, 0, setup) - oracle_outcome_observable(
+        side, setting, 1, setup
+    )
+
+
+def oracle_chsh_operator(setup):
+    sa0, sa1 = (oracle_dichotomic("a", x, setup) for x in (0, 1))
+    sb0, sb1 = (oracle_dichotomic("b", y, setup) for y in (0, 1))
+    return sa0 @ (sb0 + sb1) + sa1 @ (sb0 - sb1)
+
+
+def outcome_maps(d):
+    """Random bit maps, with the two constant maps drawn as often as any other."""
+    return st.one_of(
+        st.just((0,) * d),
+        st.just((1,) * d),
+        st.lists(st.integers(0, 1), min_size=d, max_size=d).map(tuple),
+    )
+
+
+@st.composite
+def setups(draw):
+    da, db = draw(st.sampled_from(DIMS))
+    setup = random_setup((da, db), np.random.default_rng(draw(st.integers(0, 2**32))))
+    return dataclasses.replace(
+        setup, alice_outcome=draw(outcome_maps(da)), bob_outcome=draw(outcome_maps(db))
+    )
+
+
+def assert_matches_oracle(setup):
+    for side in ("a", "b"):
+        for setting in (0, 1):
+            got = dichotomic(side, setting, setup)
+            assert np.max(np.abs(got - oracle_dichotomic(side, setting, setup))) <= ORACLE_TOL
+            for outcome in (0, 1):
+                got = outcome_observable(side, setting, outcome, setup)
+                want = oracle_outcome_observable(side, setting, outcome, setup)
+                assert np.max(np.abs(got - want)) <= ORACLE_TOL
+    assert np.max(np.abs(chsh_operator(setup) - oracle_chsh_operator(setup))) <= ORACLE_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(setup=setups())
+def test_operator_route_matches_projector_oracle(setup):
+    assert_matches_oracle(setup)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_operator_route_matches_oracle_on_every_dims_with_constant_maps(dims):
+    rng = np.random.default_rng(dims[0] * 100 + dims[1])
+    setup = random_setup(dims, rng)
+    assert_matches_oracle(setup)
+    for bit in (0, 1):
+        constant = dataclasses.replace(
+            setup, alice_outcome=(bit,) * dims[0], bob_outcome=(1 - bit,) * dims[1]
+        )
+        assert_matches_oracle(constant)
+
+
+def test_seesaw_validates_one_setup_per_restart(monkeypatch):
+    post_init, best_response = tsirelson.QuantumSetup.__post_init__, tsirelson._best_response
+    built, responses = [], []
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_best_response(*args):
+        responses.append(args)
+        return best_response(*args)
+
+    start = random_setup((2, 2), np.random.default_rng(5))
+    monkeypatch.setattr(tsirelson.QuantumSetup, "__post_init__", counting_post_init)
+    monkeypatch.setattr(tsirelson, "_best_response", counting_best_response)
+    tsirelson._seesaw(start, 1e-9, False)
+    assert len(responses) >= 8  # at least two rounds of four best responses
+    assert len(built) == 1

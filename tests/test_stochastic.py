@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chshkit.linalg import haar_unitary, rotation
+from chshkit.linalg import MAX_DIM, haar_unitary, rotation
 from chshkit.stochastic import (
     DIVISION_TOL,
     dilation_report,
@@ -292,3 +292,9 @@ def test_dilation_rejects_out_of_range_seed():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError, match="seed"):
             dilation_report(UNIFORMIZER, seed=seed)
+
+
+def test_dilation_rejects_sides_above_max_dim_before_searching():
+    uniform = np.full((MAX_DIM + 1, MAX_DIM + 1), 1.0 / (MAX_DIM + 1))
+    with pytest.raises(ValueError, match=f"above {MAX_DIM} are not supported"):
+        dilation_report(uniform)
