@@ -138,9 +138,17 @@ def _as_square(m, name: str) -> np.ndarray:
     return a
 
 
+def unitary_deviation(a: np.ndarray) -> np.ndarray:
+    """Largest entry of ``|a^dag a - 1|``, for one square matrix or each in a stack.
+
+    Non-finite entries give a NaN or infinite deviation.
+    """
+    return np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1))
+
+
 def _unitary_deviation(u, name: str) -> tuple[np.ndarray, float]:
     a = _as_square(u, name)
-    return a, float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+    return a, float(unitary_deviation(a))
 
 
 def _as_hermitian(h, name: str) -> np.ndarray:
@@ -234,10 +242,18 @@ def dephase(rho) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return haar_of_gaussian(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def haar_of_gaussian(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices, stacked on leading axes.
+
+    Each is the ``Q`` of a QR factorization with the phases of ``R``'s
+    diagonal moved into it, which makes the distribution exactly Haar.
+    """
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def spectral_norm(h) -> float:

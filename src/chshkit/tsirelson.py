@@ -16,13 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    STATE_NORM_TOL,
+    UNITARY_TOL,
     as_state_vector,
     as_tolerance,
     assert_unitary,
     basis_state,
-    haar_unitary,
+    haar_of_gaussian,
     rotation,
     substream,
+    unitary_deviation,
 )
 
 #: Largest joint dimension handled by the dense operator pipeline.
@@ -132,10 +135,24 @@ def prepare_state(prep: PreparationUnitary) -> np.ndarray:
     return prep.c_psi @ basis_state(da * db, q0 * db + r0)
 
 
+def _T(m: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (``.mT`` needs numpy 2)."""
+    return m.swapaxes(-1, -2)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of each pair of square matrices in two stacks."""
+    n, m = a.shape[-1], b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], n * m, n * m)
+
+
 def _local_dichotomic(u: np.ndarray, outcome_map: tuple[int, ...]) -> np.ndarray:
-    """One side's +-1 observable on its own space: ``u^dag S u`` for the outcome signs ``S``."""
+    """One side's +-1 observable on its own space: ``u^dag S u`` for the outcome signs ``S``.
+
+    ``u`` may be a stack of unitaries; the observables stack the same way.
+    """
     signs = 1.0 - 2.0 * np.array(outcome_map)
-    return u.conj().T @ (signs[:, None] * u)
+    return _T(u.conj()) @ (signs[:, None] * u)
 
 
 def dichotomic(side: str, setting: int, setup: QuantumSetup) -> np.ndarray:
@@ -146,9 +163,9 @@ def dichotomic(side: str, setting: int, setup: QuantumSetup) -> np.ndarray:
         raise ValueError(f"setting must be 0 or 1, got {setting!r}")
     if side == "a":
         local = _local_dichotomic(setup.a0 if setting == 0 else setup.a1, setup.alice_outcome)
-        return np.kron(local, np.eye(setup.dim_b))
+        return _kron(local, np.eye(setup.dim_b))
     local = _local_dichotomic(setup.b0 if setting == 0 else setup.b1, setup.bob_outcome)
-    return np.kron(np.eye(setup.dim_a), local)
+    return _kron(np.eye(setup.dim_a), local)
 
 
 def outcome_observable(side: str, setting: int, outcome: int, setup: QuantumSetup) -> np.ndarray:
@@ -164,7 +181,7 @@ def outcome_observable(side: str, setting: int, outcome: int, setup: QuantumSetu
 
 
 def _chsh_of_local(sa0, sa1, sb0, sb1) -> np.ndarray:
-    return np.kron(sa0, sb0 + sb1) + np.kron(sa1, sb0 - sb1)
+    return _kron(sa0, sb0 + sb1) + _kron(sa1, sb0 - sb1)
 
 
 def chsh_operator(setup: QuantumSetup) -> np.ndarray:
@@ -174,27 +191,50 @@ def chsh_operator(setup: QuantumSetup) -> np.ndarray:
     return _chsh_of_local(sa0, sa1, sb0, sb1)
 
 
+def _quarter_expectation(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """One quarter of ``<psi|c|psi>``, for one state and operator or for stacks of both."""
+    v = psi[..., None]
+    return (_T(v.conj()) @ (c @ v))[..., 0, 0].real / 4.0
+
+
 def score_of_setup(setup: QuantumSetup, state=None) -> float:
     """Expected game score of a setup: one quarter of the CHSH-operator expectation."""
     psi = setup.state if state is None else as_state_vector(state)
     if psi.shape[0] != setup.dim_a * setup.dim_b:
         raise ValueError("state dimension does not match the setup's joint dimension")
-    value = complex(psi.conj() @ (chsh_operator(setup) @ psi)) / 4.0
-    return value.real
+    return float(_quarter_expectation(chsh_operator(setup), psi))
+
+
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex matrix, summed in the same order."""
+    re, im = z.real[:, None, :], z.imag[:, None, :]
+    return np.sqrt((re @ _T(re) + im @ _T(im))[:, 0, 0])
+
+
+def _draw_starts(dims: tuple[int, int], rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One random start per generator, stacked: normalized states ``(n, da*db)``,
+    Alice's unitaries ``(n, 2, da, da)`` and Bob's ``(n, 2, db, db)``.
+
+    Each generator draws the real and then the imaginary parts of the state,
+    then those of the Haar unitaries ``a0``, ``a1``, ``b0`` and ``b1``.
+    """
+    da, db = dims
+    n = da * db
+    x = np.stack([rng.standard_normal(2 * n + 4 * (da * da + db * db)) for rng in rngs])
+    z = x[:, :n] + 1j * x[:, n : 2 * n]
+    ga = x[:, 2 * n : 2 * n + 4 * da * da].reshape(-1, 2, 2, da, da)
+    gb = x[:, 2 * n + 4 * da * da :].reshape(-1, 2, 2, db, db)
+    return (
+        z / _row_norms(z)[:, None],
+        haar_of_gaussian(ga[:, :, 0] + 1j * ga[:, :, 1]),
+        haar_of_gaussian(gb[:, :, 0] + 1j * gb[:, :, 1]),
+    )
 
 
 def random_setup(dims: tuple[int, int], rng: np.random.Generator) -> QuantumSetup:
     """Haar-random local unitaries with a random normalized shared state."""
-    da, db = int(dims[0]), int(dims[1])
-    z = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
-    state = z / np.linalg.norm(z)
-    return QuantumSetup(
-        state=state,
-        a0=haar_unitary(da, rng),
-        a1=haar_unitary(da, rng),
-        b0=haar_unitary(db, rng),
-        b1=haar_unitary(db, rng),
-    )
+    state, a, b = _draw_starts((int(dims[0]), int(dims[1])), [rng])
+    return QuantumSetup(state[0], *a[0], *b[0])
 
 
 # --------------------------------------------------------------------------
@@ -208,64 +248,121 @@ def _best_response(m: np.ndarray, outcome_map: tuple[int, ...], diagonal: bool):
     The observable keeps the side's outcome map, so its -1 multiplicity is the
     number of configurations reporting 1; those take the eigenvectors of ``m``
     with the lowest eigenvalues, the rest the highest.  With ``diagonal`` only
-    the diagonal of ``m`` is used and the observable comes out diagonal.
+    the diagonal of ``m`` is used and the observable comes out diagonal.  ``m``
+    may be a stack of matrices; the unitaries and maxima stack the same way.
     """
     if diagonal:
-        m = np.diag(np.diag(m))
+        k = np.arange(m.shape[-1])
+        d = np.zeros_like(m)
+        d[..., k, k] = m[..., k, k]
+        m = d
     values, vectors = np.linalg.eigh(m)
     minus = sum(outcome_map)
     rows = [i for i, b in enumerate(outcome_map) if b] + [i for i, b in enumerate(outcome_map) if not b]
     u = np.empty_like(vectors)
-    u[rows] = vectors.conj().T
-    return u, float(values[minus:].sum() - values[:minus].sum())
+    u[..., rows, :] = _T(vectors.conj())
+    return u, values[..., minus:].sum(-1) - values[..., :minus].sum(-1)
 
 
 #: Round cap for one seesaw restart; rounds normally stop far earlier, once a
 #: round gains less than ``tol``.
 _MAX_ROUNDS = 1000
 
+#: Restarts run together through the seesaw kernel, so memory is O(block).
+_RESTART_BLOCK = 64
+
+
+def _seesaw_stack(a, b, alice, bob, tol: float, restrict_classical: bool):
+    """Alternate closed-form best responses of the state, Alice and Bob, for a
+    stack of restarts in lock step.
+
+    ``a`` and ``b`` stack each restart's two local unitaries per side,
+    ``(n, 2, da, da)`` and ``(n, 2, db, db)``.  Every step maximizes the
+    CHSH expectation over one part with the others held fixed, so a
+    restart's score never decreases from round to round.  Each round runs
+    only the restarts still active; a restart freezes with the state and
+    unitaries of the round that gained less than ``tol``.  Returns the
+    states, the unitaries, and the number of rounds each restart ran
+    (``_MAX_ROUNDS`` for one that hit the cap).
+    """
+    a, b = a.copy(), b.copy()
+    n, da, db = a.shape[0], a.shape[-1], b.shape[-1]
+    state = np.zeros((n, da * db), dtype=complex)
+    state[:, 0] = 1.0  # stays pinned under restrict_classical
+    rounds = np.full(n, _MAX_ROUNDS)
+    active = np.arange(n)
+    best = np.full(n, -math.inf)
+    sa = _local_dichotomic(a, alice)
+    for round_ in range(1, _MAX_ROUNDS + 1):
+        sb = _local_dichotomic(b[active], bob)
+        sb0, sb1 = sb[:, 0], sb[:, 1]
+        if not restrict_classical:
+            state[active] = np.linalg.eigh(_chsh_of_local(sa[:, 0], sa[:, 1], sb0, sb1))[1][..., -1]
+        psi = state[active].reshape(-1, da, db)
+        a_new = np.stack(
+            [
+                _best_response(psi @ _T(c) @ _T(psi.conj()), alice, restrict_classical)[0]
+                for c in (sb0 + sb1, sb0 - sb1)
+            ],
+            axis=1,
+        )
+        sa = _local_dichotomic(a_new, alice)
+        responses = [
+            _best_response(_T(_T(psi.conj()) @ d @ psi), bob, restrict_classical)
+            for d in (sa[:, 0] + sa[:, 1], sa[:, 0] - sa[:, 1])
+        ]
+        a[active] = a_new
+        b[active] = np.stack([u for u, _ in responses], axis=1)
+        score = (responses[0][1] + responses[1][1]) / 4.0
+        going = ~(score - best < tol)
+        rounds[active[~going]] = round_
+        active, sa, best = active[going], sa[going], score[going]
+        if not active.size:
+            break
+    return state, a, b, rounds
+
 
 def _seesaw(setup: QuantumSetup, tol: float, restrict_classical: bool) -> QuantumSetup:
-    """Alternate closed-form best responses of the state, Alice and Bob.
+    """The seesaw from one setup: the stacked kernel on a batch of one."""
+    state, a, b, _ = _seesaw_stack(
+        np.stack([setup.a0, setup.a1])[None],
+        np.stack([setup.b0, setup.b1])[None],
+        setup.alice_outcome,
+        setup.bob_outcome,
+        tol,
+        restrict_classical,
+    )
+    return QuantumSetup(state[0], *a[0], *b[0], setup.alice_outcome, setup.bob_outcome)
 
-    Every step maximizes the CHSH expectation over one part with the others
-    held fixed, so the score never decreases from round to round.
+
+def _check_block(state, a, b, alice, bob) -> None:
+    """Every check a ``QuantumSetup`` makes, over a stack of restarts.
+
+    A restart that fails is rebuilt as a ``QuantumSetup``, which raises the
+    same error the setup would.
     """
-    da, db = setup.dim_a, setup.dim_b
-    alice, bob = setup.alice_outcome, setup.bob_outcome
-    a, b = (setup.a0, setup.a1), (setup.b0, setup.b1)
-    sa0, sa1 = (_local_dichotomic(u, alice) for u in a)
-    state = basis_state(da * db, 0)  # stays pinned under restrict_classical
-    best = -math.inf
-    for _ in range(_MAX_ROUNDS):
-        sb0, sb1 = (_local_dichotomic(u, bob) for u in b)
-        if not restrict_classical:
-            state = np.linalg.eigh(_chsh_of_local(sa0, sa1, sb0, sb1))[1][:, -1]
-        psi = state.reshape(da, db)
-        a = tuple(
-            _best_response(psi @ c.T @ psi.conj().T, alice, restrict_classical)[0]
-            for c in (sb0 + sb1, sb0 - sb1)
-        )
-        sa0, sa1 = (_local_dichotomic(u, alice) for u in a)
-        responses = [
-            _best_response((psi.conj().T @ d @ psi).T, bob, restrict_classical)
-            for d in (sa0 + sa1, sa0 - sa1)
-        ]
-        b = tuple(u for u, _ in responses)
-        score = sum(value for _, value in responses) / 4.0
-        if score - best < tol:
-            break
-        best = score
-    return QuantumSetup(state, a[0], a[1], b[0], b[1], alice, bob)
+    norm_sq = np.sum(np.abs(state) ** 2, axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries fail below
+        dev = np.maximum(unitary_deviation(a).max(axis=-1), unitary_deviation(b).max(axis=-1))
+    ok = (dev <= UNITARY_TOL) & (np.abs(norm_sq - 1.0) <= STATE_NORM_TOL)  # NaN fails
+    for k in np.flatnonzero(~ok)[:1]:
+        QuantumSetup(state[k], *a[k], *b[k], alice, bob)
 
 
 @dataclass
 class OptimizeResult:
-    """Best setup found, its score, and the per-restart best scores in order."""
+    """Best setup found, its score, and per restart in order the best score
+    and the number of seesaw rounds (``_MAX_ROUNDS`` for a restart that hit
+    the round cap).
+
+    There is no time per restart: restarts run in lock-step blocks, so a
+    restart's own time is not measured.
+    """
 
     setup: QuantumSetup
     score: float
     restart_scores: list[float]
+    restart_rounds: list[int]
 
 
 def optimize(
@@ -282,10 +379,13 @@ def optimize(
     becomes the top eigenvector of the CHSH operator; each of Alice's
     observables becomes the best response to her partial trace of the state
     against Bob's combination ``B0 +- B1``; Bob's follow the same way against
-    ``A0 +- A1``.  Rounds stop once one gains less than ``tol``.  Ties across
-    restarts break toward the lowest restart index, so the result does not
-    depend on how restarts are scheduled.  The returned score is re-evaluated
-    through the operator-expectation path on the built setup.
+    ``A0 +- A1``.  Rounds stop once one gains less than ``tol``.  Restarts
+    run in blocks of ``_RESTART_BLOCK`` (64) as stacked arrays through one
+    seesaw kernel, so memory does not grow with ``restarts``; each restart's
+    result still depends only on ``(seed, k)``.  Ties across restarts break
+    toward the lowest restart index, so the result does not depend on how
+    restarts are scheduled.  The returned score is re-evaluated through the
+    operator-expectation path on the built setup.
 
     With ``restrict_classical`` the state is pinned to the product
     configuration ``|0,0>`` and the observables to diagonal matrices, which
@@ -300,19 +400,28 @@ def optimize(
     if restarts < 1:
         raise ValueError("restarts must be positive")
     tol = as_tolerance(tol)
-    best: QuantumSetup | None = None
+    alice, bob = _default_outcome_map(da), _default_outcome_map(db)
+    best: list[np.ndarray] = []
     best_score = -math.inf
     restart_scores: list[float] = []
-    for restart in range(restarts):
-        setup = _seesaw(random_setup((da, db), substream(seed, restart)), tol, restrict_classical)
-        score = score_of_setup(setup)
-        restart_scores.append(score)
-        if score > best_score:
-            best, best_score = setup, score
-    assert best is not None
-    return OptimizeResult(best, best_score, restart_scores)
-
-
+    restart_rounds: list[int] = []
+    for lo in range(0, restarts, _RESTART_BLOCK):
+        rngs = [substream(seed, k) for k in range(lo, min(lo + _RESTART_BLOCK, restarts))]
+        state, a, b = _draw_starts((da, db), rngs)
+        _check_block(state, a, b, alice, bob)
+        state, a, b, rounds = _seesaw_stack(a, b, alice, bob, tol, restrict_classical)
+        _check_block(state, a, b, alice, bob)
+        sa, sb = _local_dichotomic(a, alice), _local_dichotomic(b, bob)
+        scores = _quarter_expectation(
+            _chsh_of_local(sa[:, 0], sa[:, 1], sb[:, 0], sb[:, 1]), state
+        ).tolist()
+        for k, score in enumerate(scores):
+            if score > best_score:
+                best, best_score = [m.copy() for m in (state[k], *a[k], *b[k])], score
+        restart_scores += scores
+        restart_rounds += rounds.tolist()
+    setup = QuantumSetup(*best, alice, bob)
+    return OptimizeResult(setup, score_of_setup(setup), restart_scores, restart_rounds)
 def canonical_setup() -> QuantumSetup:
     """The textbook setup that saturates the score ceiling.
 

@@ -273,6 +273,16 @@ def test_optimize_rejects_oversized_dims_before_any_restart(monkeypatch):
         optimize((3, 6), restarts=1)
 
 
+def test_optimize_rejects_oversized_dims_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a restart was drawn before the dimension check")
+
+    monkeypatch.setattr(tsirelson, "_draw_starts", no_draw)
+    monkeypatch.setattr(tsirelson, "substream", no_draw)
+    with pytest.raises(ValueError, match="joint dimension 18"):
+        optimize((3, 6), restarts=1)
+
+
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_optimize_rejects_out_of_range_seed(seed):
     with pytest.raises(ValueError, match="seed"):
