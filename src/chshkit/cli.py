@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 parse error, 3 invariant violation, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from itertools import product
@@ -262,14 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` reuses, built on its first call rather than at import."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
         print("\n".join(f"{k}={_fmt(v)}" for k, v in report.items() if v is not None))

@@ -83,17 +83,32 @@ def as_probabilities(p, ndim: int, axes, name: str, what: str) -> np.ndarray:
     return np.clip(a, 0.0, None)
 
 
+def _first(bad: np.ndarray, name: str) -> tuple[tuple[int, ...], str]:
+    """Index of the first flagged item of a stack, and ``name`` tagged with it.
+
+    An unstacked item (``bad`` 0-d) keeps its plain ``name``.
+    """
+    i = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+    return i, f"{name}[{', '.join(map(str, i))}]" if i else name
+
+
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a dense complex matrix, checking shape and finiteness."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if max(a.shape) > MAX_DIM:
+    return _checked_matrices(a, name)
+
+
+def _checked_matrices(a: np.ndarray, name: str) -> np.ndarray:
+    """Size and finiteness checks for a complex matrix or a stack of them."""
+    if max(a.shape[-2:]) > MAX_DIM:
         raise ValueError(
-            f"{name} is {a.shape[0]}x{a.shape[1]}; dimensions above {MAX_DIM} are not supported"
+            f"{name} is {a.shape[-2]}x{a.shape[-1]}; dimensions above {MAX_DIM} are not supported"
         )
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        where = _first(~np.isfinite(a).all(axis=(-2, -1)), name)[1]
+        raise ValueError(f"{where} contains non-finite entries")
     return a
 
 
@@ -102,13 +117,28 @@ def as_state_vector(v, name: str = "state") -> np.ndarray:
     a = np.asarray(v, dtype=complex)
     if a.ndim != 1 or a.shape[0] < 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {a.shape}")
-    if a.shape[0] > MAX_DIM:
-        raise ValueError(f"{name} has dimension {a.shape[0]}; above {MAX_DIM} is not supported")
+    return as_state_vectors(a, name)
+
+
+def as_state_vectors(v, name: str = "state") -> np.ndarray:
+    """Coerce ``v`` to normalized complex state vectors stacked on leading axes.
+
+    The checks of :func:`as_state_vector`, made on each vector; an error
+    names the first failing vector by its index in the stack.
+    """
+    a = np.asarray(v, dtype=complex)
+    if a.ndim < 1 or a.shape[-1] < 1:
+        raise ValueError(f"{name} must be a 1-d vector or a stack of them, got shape {a.shape}")
+    if a.shape[-1] > MAX_DIM:
+        raise ValueError(f"{name} has dimension {a.shape[-1]}; above {MAX_DIM} is not supported")
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    norm_sq = float(np.sum(np.abs(a) ** 2))
-    if abs(norm_sq - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"{name} is not normalized: sum of squared moduli is {norm_sq!r}")
+        where = _first(~np.isfinite(a).all(axis=-1), name)[1]
+        raise ValueError(f"{where} contains non-finite entries")
+    norm_sq = np.sum(np.abs(a) ** 2, axis=-1)
+    bad = ~(np.abs(norm_sq - 1.0) <= STATE_NORM_TOL)
+    if bad.any():
+        i, where = _first(bad, name)
+        raise ValueError(f"{where} is not normalized: sum of squared moduli is {float(norm_sq[i])!r}")
     return a
 
 
@@ -146,11 +176,6 @@ def unitary_deviation(a: np.ndarray) -> np.ndarray:
     return np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1))
 
 
-def _unitary_deviation(u, name: str) -> tuple[np.ndarray, float]:
-    a = _as_square(u, name)
-    return a, float(unitary_deviation(a))
-
-
 def _as_hermitian(h, name: str) -> np.ndarray:
     a = _as_square(h, name)
     dev = float(np.max(np.abs(a - a.conj().T)))
@@ -161,14 +186,34 @@ def _as_hermitian(h, name: str) -> np.ndarray:
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     """True iff ``u.conj().T @ u`` deviates from the identity by at most ``tol``."""
-    return _unitary_deviation(u, "u")[1] <= tol
+    return float(unitary_deviation(_as_square(u, "u"))) <= tol
 
 
 def assert_unitary(u, name: str = "matrix") -> np.ndarray:
     """Validate unitarity and return the coerced matrix; raise otherwise."""
-    a, dev = _unitary_deviation(u, name)
-    if not dev <= UNITARY_TOL:  # an overflowing Gram matrix gives a NaN deviation
-        raise ValueError(f"{name} is not unitary within {UNITARY_TOL:g} (deviation {dev:.3e})")
+    a = np.asarray(u, dtype=complex)
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
+    return assert_unitaries(a, name)
+
+
+def assert_unitaries(u, name: str = "matrix") -> np.ndarray:
+    """Validate a stack of unitaries on leading axes and return it coerced.
+
+    The checks of :func:`assert_unitary`, made on each matrix; an error
+    names the first failing matrix by its index in the stack.
+    """
+    a = np.asarray(u, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise ValueError(f"{name} must be a 2-d matrix or a stack of them, got shape {a.shape}")
+    a = _checked_matrices(a, name)
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    dev = unitary_deviation(a)
+    bad = ~(dev <= UNITARY_TOL)  # an overflowing Gram matrix gives a NaN deviation
+    if bad.any():
+        i, where = _first(bad, name)
+        raise ValueError(f"{where} is not unitary within {UNITARY_TOL:g} (deviation {dev[i]:.3e})")
     return a
 
 

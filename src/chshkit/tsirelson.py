@@ -16,16 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    STATE_NORM_TOL,
-    UNITARY_TOL,
     as_state_vector,
+    as_state_vectors,
     as_tolerance,
+    assert_unitaries,
     assert_unitary,
     basis_state,
     haar_of_gaussian,
     rotation,
     substream,
-    unitary_deviation,
 )
 
 #: Largest joint dimension handled by the dense operator pipeline.
@@ -335,18 +334,15 @@ def _seesaw(setup: QuantumSetup, tol: float, restrict_classical: bool) -> Quantu
     return QuantumSetup(state[0], *a[0], *b[0], setup.alice_outcome, setup.bob_outcome)
 
 
-def _check_block(state, a, b, alice, bob) -> None:
-    """Every check a ``QuantumSetup`` makes, over a stack of restarts.
+def _assert_restarts(state, a, b) -> None:
+    """The state and unitary checks of ``QuantumSetup``, on a block of restarts.
 
-    A restart that fails is rebuilt as a ``QuantumSetup``, which raises the
-    same error the setup would.
+    An error names the field, as the setup would, and the restart's index
+    within its block.
     """
-    norm_sq = np.sum(np.abs(state) ** 2, axis=-1)
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries fail below
-        dev = np.maximum(unitary_deviation(a).max(axis=-1), unitary_deviation(b).max(axis=-1))
-    ok = (dev <= UNITARY_TOL) & (np.abs(norm_sq - 1.0) <= STATE_NORM_TOL)  # NaN fails
-    for k in np.flatnonzero(~ok)[:1]:
-        QuantumSetup(state[k], *a[k], *b[k], alice, bob)
+    for name, u in (("a0", a[:, 0]), ("a1", a[:, 1]), ("b0", b[:, 0]), ("b1", b[:, 1])):
+        assert_unitaries(u, name)
+    as_state_vectors(state, "state")
 
 
 @dataclass
@@ -385,7 +381,10 @@ def optimize(
     result still depends only on ``(seed, k)``.  Ties across restarts break
     toward the lowest restart index, so the result does not depend on how
     restarts are scheduled.  The returned score is re-evaluated through the
-    operator-expectation path on the built setup.
+    operator-expectation path on the built setup.  Every start and every
+    result gets the checks a ``QuantumSetup`` makes; a failure raises their
+    ``ValueError``, naming the field and the restart's index within its
+    block.
 
     With ``restrict_classical`` the state is pinned to the product
     configuration ``|0,0>`` and the observables to diagonal matrices, which
@@ -408,9 +407,9 @@ def optimize(
     for lo in range(0, restarts, _RESTART_BLOCK):
         rngs = [substream(seed, k) for k in range(lo, min(lo + _RESTART_BLOCK, restarts))]
         state, a, b = _draw_starts((da, db), rngs)
-        _check_block(state, a, b, alice, bob)
+        _assert_restarts(state, a, b)
         state, a, b, rounds = _seesaw_stack(a, b, alice, bob, tol, restrict_classical)
-        _check_block(state, a, b, alice, bob)
+        _assert_restarts(state, a, b)
         sa, sb = _local_dichotomic(a, alice), _local_dichotomic(b, bob)
         scores = _quarter_expectation(
             _chsh_of_local(sa[:, 0], sa[:, 1], sb[:, 0], sb[:, 1]), state
@@ -422,6 +421,8 @@ def optimize(
         restart_rounds += rounds.tolist()
     setup = QuantumSetup(*best, alice, bob)
     return OptimizeResult(setup, score_of_setup(setup), restart_scores, restart_rounds)
+
+
 def canonical_setup() -> QuantumSetup:
     """The textbook setup that saturates the score ceiling.
 

@@ -582,22 +582,3 @@ def test_simulate_peak_memory_does_not_grow_with_n(tmp_path):
 
     small, large = peak_kb(2 * CHUNK_ROUNDS), peak_kb(32 * CHUNK_ROUNDS)
     assert large - small <= 16 * 1024, (small, large)
-
-
-def test_main_reuses_one_parser_and_its_errors_do_not_change(tmp_path, capsys):
-    from chshkit import cli
-
-    assert cli.build_parser() is not cli.build_parser()
-    cfg = write_json(tmp_path / "s.json", {"kind": "ns_box", "e": 0.5})
-    bad = ["optimize", "--seed", "x", "--out", str(tmp_path / "o.json")]
-    runs = []
-    for argv in (bad, ["score", "--config", cfg], bad, ["score", "--config", cfg]):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        runs.append((code, *capsys.readouterr()))
-    assert runs[0] == runs[2] and runs[1] == runs[3]
-    assert runs[0][0] == 2 and runs[0][1] == "" and "invalid int value: 'x'" in runs[0][2]
-    assert runs[1][0] == 0 and runs[1][1].startswith("exact_score=0.5\n")
-    assert cli._parser() is cli._parser()

@@ -6,6 +6,8 @@ import pytest
 from chshkit.linalg import (
     amplitude_representation,
     as_state_vector,
+    as_state_vectors,
+    assert_unitaries,
     assert_unitary,
     dephase,
     dictionary_prob,
@@ -268,3 +270,43 @@ def test_is_unitary_and_assert_unitary_share_one_check():
         assert_unitary(far)
     with pytest.raises(ValueError, match="u must be square, got shape"):
         is_unitary(np.ones((2, 3)))
+
+
+def test_stacked_checks_name_the_first_failing_item():
+    u = np.stack([rotation(t) for t in np.linspace(0, 1, 6)]).reshape(2, 3, 2, 2)
+    assert assert_unitaries(u, "u") is not None
+    u[1, 0] *= 1.5
+    u[1, 2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^u\[1, 2\] contains non-finite entries$"):
+        assert_unitaries(u, "u")
+    u[1, 2] = np.eye(2)
+    with pytest.raises(ValueError, match=r"^u\[1, 0\] is not unitary within 1e-10 \(deviation 1\.250e\+00\)$"):
+        assert_unitaries(u, "u")
+    psi = np.tile([1.0, 0.0], (4, 1))
+    np.testing.assert_array_equal(as_state_vectors(psi, "psi"), psi)
+    psi[2:] *= 2.0
+    with pytest.raises(ValueError, match=r"^psi\[2\] is not normalized: sum of squared moduli is 4\.0$"):
+        as_state_vectors(psi, "psi")
+    psi[3, 1] = np.inf
+    with pytest.raises(ValueError, match=r"^psi\[3\] contains non-finite entries$"):
+        as_state_vectors(psi, "psi")
+
+
+def test_single_item_checks_keep_their_messages_and_reject_stacks():
+    for bad, msg in [
+        (rotation(0.3) * 1.5, r"^m is not unitary within 1e-10 \(deviation 1\.250e\+00\)$"),
+        (np.full((2, 2), np.nan), r"^m contains non-finite entries$"),
+        (np.ones((2, 3)), r"^m must be square, got shape \(2, 3\)$"),
+        (np.zeros((0, 0)), r"^m must be a 2-d matrix, got shape \(0, 0\)$"),
+        (np.stack([np.eye(2)] * 2), r"^m must be a 2-d matrix, got shape \(2, 2, 2\)$"),
+    ]:
+        with pytest.raises(ValueError, match=msg):
+            assert_unitary(bad, "m")
+    for bad, msg in [
+        (np.array([2.0, 0.0]), r"^v is not normalized: sum of squared moduli is 4\.0$"),
+        (np.array([np.nan, 0.0]), r"^v contains non-finite entries$"),
+        (np.zeros(0), r"^v must be a 1-d vector, got shape \(0,\)$"),
+        (np.eye(2), r"^v must be a 1-d vector, got shape \(2, 2\)$"),
+    ]:
+        with pytest.raises(ValueError, match=msg):
+            as_state_vector(bad, "v")

@@ -158,20 +158,24 @@ def test_restart_rounds_report_the_round_each_restart_froze_at(monkeypatch):
     assert optimize((2, 3), restarts=12, seed=4).restart_rounds == [1] * 12
 
 
-def per_setup_error(state, a, b):
+def per_setup_error(state, a, b, index):
+    """The error ``QuantumSetup`` raises, with the failing field tagged by ``index``."""
     with pytest.raises(ValueError) as excinfo:
         QuantumSetup(state, *a, *b)
-    return str(excinfo.value)
+    field, rest = str(excinfo.value).split(" ", 1)
+    return f"{field}[{index}] {rest}"
 
 
 def corrupt_start(monkeypatch, restart, how):
-    """Make ``_draw_starts`` hand back one corrupted start; returns the per-setup error."""
+    """Make ``_draw_starts`` hand back one corrupted start, ``restart`` counted
+    within its block; returns the per-setup error."""
     draw, seen = tsirelson._draw_starts, {}
 
     def corrupted(dims, rngs):
         state, a, b = draw(dims, rngs)
-        how(state[restart], a[restart], b[restart])
-        seen["error"] = per_setup_error(state[restart], a[restart], b[restart])
+        if len(rngs) > restart:
+            how(state[restart], a[restart], b[restart])
+            seen["error"] = per_setup_error(state[restart], a[restart], b[restart], restart)
         return state, a, b
 
     monkeypatch.setattr(tsirelson, "_draw_starts", corrupted)
@@ -206,6 +210,21 @@ def test_block_checks_raise_the_per_setup_error_on_a_bad_start(monkeypatch, how)
     assert str(excinfo.value) == seen["error"]
 
 
+@pytest.mark.parametrize("bad", [[1, 4], [4]])
+def test_the_first_bad_start_of_a_later_block_is_named(monkeypatch, bad):
+    draw = tsirelson._draw_starts
+
+    def corrupted(dims, rngs):
+        state, a, b = draw(dims, rngs)
+        if len(rngs) == 6:  # the second block
+            state[bad] *= 2.0
+        return state, a, b
+
+    monkeypatch.setattr(tsirelson, "_draw_starts", corrupted)
+    with pytest.raises(ValueError, match=rf"^state\[{bad[0]}\] is not normalized"):
+        optimize((2, 2), restarts=_RESTART_BLOCK + 6, seed=1)
+
+
 def test_block_checks_raise_on_a_bad_seesaw_result(monkeypatch):
     best_response = tsirelson._best_response
 
@@ -214,7 +233,7 @@ def test_block_checks_raise_on_a_bad_seesaw_result(monkeypatch):
         return u * (1.0 + 1e-6), value
 
     monkeypatch.setattr(tsirelson, "_best_response", drifting)
-    with pytest.raises(ValueError, match="a0 is not unitary within"):
+    with pytest.raises(ValueError, match=r"^a0\[0\] is not unitary within"):
         optimize((2, 2), restarts=3, seed=1)
 
 
