@@ -168,7 +168,7 @@ def _as_square(m, name: str) -> np.ndarray:
     return a
 
 
-def unitary_deviation(a: np.ndarray) -> np.ndarray:
+def _unitary_deviation(a: np.ndarray) -> np.ndarray:
     """Largest entry of ``|a^dag a - 1|``, for one square matrix or each in a stack.
 
     Non-finite entries give a NaN or infinite deviation.
@@ -186,7 +186,7 @@ def _as_hermitian(h, name: str) -> np.ndarray:
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     """True iff ``u.conj().T @ u`` deviates from the identity by at most ``tol``."""
-    return float(unitary_deviation(_as_square(u, "u"))) <= tol
+    return float(_unitary_deviation(_as_square(u, "u"))) <= tol
 
 
 def assert_unitary(u, name: str = "matrix") -> np.ndarray:
@@ -209,7 +209,7 @@ def assert_unitaries(u, name: str = "matrix") -> np.ndarray:
     a = _checked_matrices(a, name)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    dev = unitary_deviation(a)
+    dev = _unitary_deviation(a)
     bad = ~(dev <= UNITARY_TOL)  # an overflowing Gram matrix gives a NaN deviation
     if bad.any():
         i, where = _first(bad, name)
