@@ -33,6 +33,7 @@ from .game import (
     signaling_witness,
     simulate_chunks,
     win_probability,
+    wins,
 )
 from .tsirelson import TSIRELSON_SCORE, QuantumSetup, optimize
 
@@ -93,7 +94,7 @@ _RECORD_HEADER = "round_index,x,y,q,r,win\n"
 
 #: ASCII tail ``,x,y,q,r,win\n`` of a record row, indexed by ``8x + 4y + 2q + r``.
 _ROW_TAILS = np.array(
-    [list(f",{x},{y},{q},{r},{int((q ^ r) == (x & y))}\n".encode())
+    [list(f",{x},{y},{q},{r},{int(wins(x, y, q, r))}\n".encode())
      for x, y, q, r in product((0, 1), repeat=4)],
     dtype=np.uint8,
 )
@@ -127,16 +128,14 @@ def format_records(rounds, start: int = 0) -> str:
 
 def cmd_simulate(args) -> dict:
     strategy = load_strategy(args.config)
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
-    # Checks the seed and builds the box now, so a bad run leaves --out alone.
+    # Checks n and the seed and builds the box now, so a bad run leaves --out alone.
     chunks = simulate_chunks(strategy, args.n, args.seed)
-    wins = 0
+    won = 0
     with open(args.out, "w", encoding="utf-8") as fh:
         for chunk in chunks:
             fh.write(format_records(chunk, chunk.start))
-            wins += int(np.count_nonzero((chunk.q ^ chunk.r) == (chunk.x & chunk.y)))
-    win_rate = wins / args.n
+            won += int(np.count_nonzero(wins(chunk.x, chunk.y, chunk.q, chunk.r)))
+    win_rate = won / args.n
     return _score_report(strategy) | {
         "empirical_score": 2.0 * win_rate - 1.0,
         "empirical_win_rate": win_rate,

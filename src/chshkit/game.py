@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .linalg import as_probabilities, as_seed, as_tolerance, substream, tensor
+from .linalg import as_bits, as_probabilities, as_seed, as_tolerance, substream, tensor
 from .tsirelson import QuantumSetup
 
 NO_SIGNALING_TOL = 1e-9
@@ -26,10 +26,15 @@ NO_SIGNALING_TOL = 1e-9
 CHUNK_ROUNDS = 1 << 16
 
 
+def wins(x, y, q, r):
+    """The game rule, on bits or on integer arrays of bits: ``q xor r == x and y``."""
+    return (q ^ r) == (x & y)
+
+
 def _build_sign() -> np.ndarray:
     s = np.empty((2, 2, 2, 2))
     for q, r, x, y in product((0, 1), repeat=4):
-        s[q, r, x, y] = 1.0 if (q ^ r) == (x & y) else -1.0
+        s[q, r, x, y] = 1.0 if wins(x, y, q, r) else -1.0
     return s
 
 
@@ -63,10 +68,7 @@ def ns_box(e: float) -> np.ndarray:
     parameter equals the expected score under uniform inputs.  ``e = 0`` is
     two fair coins, ``e = 1`` the box that wins every round.
     """
-    e = float(e)
-    if not -1.0 <= e <= 1.0:
-        raise ValueError(f"e must lie in [-1, 1], got {e!r}")
-    return (1.0 + _SIGN * e) / 4.0
+    return (1.0 + _SIGN * NSBox(e).e) / 4.0
 
 
 def expected_score(box, inputs=None) -> float:
@@ -155,11 +157,8 @@ class Deterministic:
     r_of_y: tuple[int, int]
 
     def __post_init__(self) -> None:
-        for name, value in (("q_of_x", self.q_of_x), ("r_of_y", self.r_of_y)):
-            value = tuple(value)
-            if len(value) != 2 or any(b not in (0, 1) for b in value):  # 0.7 is not a bit, 1.0 is
-                raise ValueError(f"{name} must be two bits, got {value!r}")
-            object.__setattr__(self, name, tuple(int(b) for b in value))
+        for name in ("q_of_x", "r_of_y"):
+            object.__setattr__(self, name, as_bits(getattr(self, name), 2, name))
 
 
 @dataclass(frozen=True)
@@ -261,13 +260,8 @@ def enumerate_deterministic() -> tuple[float, list[Deterministic]]:
     """
     best = -math.inf
     argmax: list[Deterministic] = []
-    for q0, q1, r0, r1 in product((0, 1), repeat=4):
-        q_of_x = (q0, q1)
-        r_of_y = (r0, r1)
-        total = 0
-        for x in (0, 1):
-            for y in (0, 1):
-                total += 1 if (q_of_x[x] ^ r_of_y[y]) == x * y else -1
+    for q_of_x, r_of_y in product(product((0, 1), repeat=2), repeat=2):
+        total = sum(1 if wins(x, y, q_of_x[x], r_of_y[y]) else -1 for x in (0, 1) for y in (0, 1))
         score = total / 4.0
         if score > best:
             best = score
@@ -294,7 +288,7 @@ class RoundRecord:
     win: bool
 
     def __post_init__(self) -> None:
-        if self.win != ((self.q ^ self.r) == self.x * self.y):
+        if self.win != wins(self.x, self.y, self.q, self.r):
             raise ValueError("win flag inconsistent with q xor r == x*y")
 
 
@@ -387,5 +381,4 @@ def simulate_rounds(strategy: Strategy, n: int, seed: int) -> SimulationResult:
     """Play ``n`` seeded rounds of a strategy: :func:`simulate_chunks`, joined."""
     _, *columns = zip(*simulate_chunks(strategy, n, seed))
     x, y, q, r = (np.concatenate(column) for column in columns)
-    win = (q ^ r) == (x & y)
-    return SimulationResult(n=n, seed=int(seed), x=x, y=y, q=q, r=r, win=win)
+    return SimulationResult(n=n, seed=as_seed(seed), x=x, y=y, q=q, r=r, win=wins(x, y, q, r))

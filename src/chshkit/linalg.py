@@ -42,12 +42,30 @@ def substream(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an int if it equals one: ``2.0`` does; ``2.5``, ``"2"`` and ``inf`` do not."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_seed(seed) -> int:
-    """Validate a seed: an integer in [0, 2**64), rejected rather than wrapped."""
-    seed = int(seed)
+    """Validate a seed: an integer in [0, 2**64), rejected rather than truncated or wrapped."""
+    seed = as_integer(seed, "seed")
     if not 0 <= seed <= _UINT64_MAX:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed
+
+
+def as_bits(values, n: int, name: str) -> tuple[int, ...]:
+    """Validate ``n`` bits and return them as ints: ``1.0`` is a bit, ``0.9`` is not."""
+    bits = tuple(values)
+    if len(bits) != n or any(b not in (0, 1) for b in bits):
+        raise ValueError(f"{name} must be {n} bits (0 or 1), got {bits!r}")
+    return tuple(int(b) for b in bits)
 
 
 def as_tolerance(tol) -> float:

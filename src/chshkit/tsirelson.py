@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    as_bits,
+    as_integer,
     as_state_vector,
     as_state_vectors,
     as_tolerance,
@@ -35,14 +37,6 @@ TSIRELSON_SCORE = 1.0 / math.sqrt(2.0)
 
 #: Spectral-norm ceiling of the CHSH operator.
 CHSH_OPERATOR_CEILING = 2.0 * math.sqrt(2.0)
-
-def _as_outcome_map(values, dim: int, name: str) -> tuple[int, ...]:
-    values = tuple(values) or _default_outcome_map(dim)
-    if len(values) != dim:
-        raise ValueError(f"{name} must map all {dim} configurations, got {len(values)} entries")
-    if any(b not in (0, 1) for b in values):  # 0.9 is not a bit, 1.0 is
-        raise ValueError(f"{name} entries must be bits (0 or 1), got {values!r}")
-    return tuple(int(b) for b in values)
 
 
 def _default_outcome_map(dim: int) -> tuple[int, ...]:
@@ -85,8 +79,8 @@ class QuantumSetup:
             raise ValueError(
                 f"state dimension {state.shape[0]} does not match joint dimension {da * db}"
             )
-        alice = _as_outcome_map(self.alice_outcome, da, "alice_outcome")
-        bob = _as_outcome_map(self.bob_outcome, db, "bob_outcome")
+        alice = as_bits(tuple(self.alice_outcome) or _default_outcome_map(da), da, "alice_outcome")
+        bob = as_bits(tuple(self.bob_outcome) or _default_outcome_map(db), db, "bob_outcome")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
@@ -230,9 +224,16 @@ def _draw_starts(dims: tuple[int, int], rngs) -> tuple[np.ndarray, np.ndarray, n
     )
 
 
+def _as_dims(dims) -> tuple[int, int]:
+    """Validate a pair of local dimensions: exactly two integers, not truncated."""
+    if len(dims) != 2:
+        raise ValueError(f"dims must be two local dimensions, got {dims!r}")
+    return as_integer(dims[0], "dims[0]"), as_integer(dims[1], "dims[1]")
+
+
 def random_setup(dims: tuple[int, int], rng: np.random.Generator) -> QuantumSetup:
     """Haar-random local unitaries with a random normalized shared state."""
-    state, a, b = _draw_starts((int(dims[0]), int(dims[1])), [rng])
+    state, a, b = _draw_starts(_as_dims(dims), [rng])
     return QuantumSetup(state[0], *a[0], *b[0])
 
 
@@ -321,19 +322,6 @@ def _seesaw_stack(a, b, alice, bob, tol: float, restrict_classical: bool):
     return state, a, b, rounds
 
 
-def _seesaw(setup: QuantumSetup, tol: float, restrict_classical: bool) -> QuantumSetup:
-    """The seesaw from one setup: the stacked kernel on a batch of one."""
-    state, a, b, _ = _seesaw_stack(
-        np.stack([setup.a0, setup.a1])[None],
-        np.stack([setup.b0, setup.b1])[None],
-        setup.alice_outcome,
-        setup.bob_outcome,
-        tol,
-        restrict_classical,
-    )
-    return QuantumSetup(state[0], *a[0], *b[0], setup.alice_outcome, setup.bob_outcome)
-
-
 def _assert_restarts(state, a, b) -> None:
     """The state and unitary checks of ``QuantumSetup``, on a block of restarts.
 
@@ -391,7 +379,7 @@ def optimize(
     confines the search to strategies a classical shared-randomness pair
     could play.
     """
-    da, db = int(dims[0]), int(dims[1])
+    da, db = _as_dims(dims)
     if da < 2 or db < 2:
         raise ValueError(f"both local dimensions must be at least 2, got {dims!r}")
     if da * db > MAX_JOINT_DIM:

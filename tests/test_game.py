@@ -4,7 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from chshkit.cli import _ROW_TAILS
 from chshkit.game import (
+    _SIGN,
     CHUNK_ROUNDS,
     Deterministic,
     ExplicitBox,
@@ -22,6 +24,7 @@ from chshkit.game import (
     signaling_witness,
     simulate_rounds,
     win_probability,
+    wins,
 )
 from chshkit.tsirelson import canonical_setup
 
@@ -277,3 +280,36 @@ def test_simulation_validates_arguments():
         simulate_rounds(NSBox(0.0), 0, seed=1)
     with pytest.raises(ValueError):
         simulate_rounds(NSBox(0.0), 10, seed=-1)
+
+
+#: The game rule written out: (x, y, q, r) -> whether the round is won.
+WIN_TABLE = {
+    (0, 0, 0, 0): True, (0, 0, 0, 1): False, (0, 0, 1, 0): False, (0, 0, 1, 1): True,
+    (0, 1, 0, 0): True, (0, 1, 0, 1): False, (0, 1, 1, 0): False, (0, 1, 1, 1): True,
+    (1, 0, 0, 0): True, (1, 0, 0, 1): False, (1, 0, 1, 0): False, (1, 0, 1, 1): True,
+    (1, 1, 0, 0): False, (1, 1, 0, 1): True, (1, 1, 1, 0): True, (1, 1, 1, 1): False,
+}
+
+
+def test_wins_is_the_written_out_rule_on_bits_and_arrays():
+    for (x, y, q, r), won in WIN_TABLE.items():
+        assert wins(x, y, q, r) is won
+    columns = (np.array(column, dtype=np.int8) for column in zip(*WIN_TABLE))
+    assert wins(*columns).tolist() == list(WIN_TABLE.values())
+
+
+def test_sign_table_record_rows_and_round_records_follow_the_rule():
+    for (x, y, q, r), won in WIN_TABLE.items():
+        assert _SIGN[q, r, x, y] == (1.0 if won else -1.0)
+        assert bytes(_ROW_TAILS[8 * x + 4 * y + 2 * q + r]).decode() == f",{x},{y},{q},{r},{int(won)}\n"
+        assert RoundRecord(0, x, y, q, r, won).win == won
+        with pytest.raises(ValueError, match="win flag"):
+            RoundRecord(0, x, y, q, r, not won)
+
+
+def test_simulate_rejects_a_non_integral_seed_and_keeps_an_integral_float():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        simulate_rounds(NSBox(0.5), 10, seed=7.5)
+    result = simulate_rounds(NSBox(0.5), 10, seed=7.0)
+    assert type(result.seed) is int and result.seed == 7
+    assert np.array_equal(result.win, simulate_rounds(NSBox(0.5), 10, seed=7).win)

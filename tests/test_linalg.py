@@ -5,6 +5,8 @@ import pytest
 
 from chshkit.linalg import (
     amplitude_representation,
+    as_integer,
+    as_seed,
     as_state_vector,
     as_state_vectors,
     assert_unitaries,
@@ -310,3 +312,22 @@ def test_single_item_checks_keep_their_messages_and_reject_stacks():
     ]:
         with pytest.raises(ValueError, match=msg):
             as_state_vector(bad, "v")
+
+
+@pytest.mark.parametrize("seed", [1.9, 0.5, "12", math.inf, -math.inf, math.nan, 2 + 0j, None])
+def test_as_seed_rejects_what_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        as_seed(seed)
+
+
+def test_as_seed_keeps_values_equal_to_an_integer():
+    for seed in (12, 2.0, np.float64(3.0), np.uint64(5), (1 << 64) - 1):
+        assert type(as_seed(seed)) is int and as_seed(seed) == seed
+    with pytest.raises(ValueError, match="seed"):
+        as_seed(float(1 << 64))
+
+
+def test_as_integer_names_the_value():
+    assert as_integer(4.0, "count") == 4
+    with pytest.raises(ValueError, match=r"^count must be an integer, got 4\.5$"):
+        as_integer(4.5, "count")

@@ -104,21 +104,29 @@ def test_operator_route_matches_oracle_on_every_dims_with_constant_maps(dims):
         assert_matches_oracle(constant)
 
 
-def test_seesaw_validates_one_setup_per_restart(monkeypatch):
-    post_init, best_response = tsirelson.QuantumSetup.__post_init__, tsirelson._best_response
-    built, responses = [], []
+def test_optimize_validates_each_block_once_and_builds_one_setup(monkeypatch):
+    unitaries, states, built = [], [], []
+    assert_unitaries, as_state_vectors = tsirelson.assert_unitaries, tsirelson.as_state_vectors
+    post_init = tsirelson.QuantumSetup.__post_init__
+
+    def counting_assert_unitaries(*args):
+        unitaries.append(args)
+        return assert_unitaries(*args)
+
+    def counting_as_state_vectors(*args):
+        states.append(args)
+        return as_state_vectors(*args)
 
     def counting_post_init(self):
         built.append(self)
         post_init(self)
 
-    def counting_best_response(*args):
-        responses.append(args)
-        return best_response(*args)
-
-    start = random_setup((2, 2), np.random.default_rng(5))
+    monkeypatch.setattr(tsirelson, "assert_unitaries", counting_assert_unitaries)
+    monkeypatch.setattr(tsirelson, "as_state_vectors", counting_as_state_vectors)
     monkeypatch.setattr(tsirelson.QuantumSetup, "__post_init__", counting_post_init)
-    monkeypatch.setattr(tsirelson, "_best_response", counting_best_response)
-    tsirelson._seesaw(start, 1e-9, False)
-    assert len(responses) >= 8  # at least two rounds of four best responses
-    assert len(built) == 1
+    result = tsirelson.optimize((2, 2), restarts=tsirelson._RESTART_BLOCK + 5)
+    assert len(result.restart_scores) == tsirelson._RESTART_BLOCK + 5
+    # Four fields, on the starts and on the results, of each of the two blocks.
+    assert len(unitaries) == 4 * 2 * 2
+    assert len(states) == 2 * 2
+    assert len(built) == 1 and built[0] is result.setup

@@ -298,3 +298,10 @@ def test_dilation_rejects_sides_above_max_dim_before_searching():
     uniform = np.full((MAX_DIM + 1, MAX_DIM + 1), 1.0 / (MAX_DIM + 1))
     with pytest.raises(ValueError, match=f"above {MAX_DIM} are not supported"):
         dilation_report(uniform)
+
+
+def test_dilation_rejects_a_non_integral_seed():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        dilation_report(UNIFORMIZER, seed=0.5)
+    a, b = dilation_report(UNIFORMIZER, seed=3.0), dilation_report(UNIFORMIZER, seed=3)
+    assert np.array_equal(a.unitary, b.unitary) and a.residual == b.residual

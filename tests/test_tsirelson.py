@@ -287,3 +287,25 @@ def test_optimize_rejects_oversized_dims_before_any_draw(monkeypatch):
 def test_optimize_rejects_out_of_range_seed(seed):
     with pytest.raises(ValueError, match="seed"):
         optimize((2, 2), restarts=1, seed=seed)
+
+
+def test_optimize_rejects_a_non_integral_seed_and_keeps_an_integral_float():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        optimize((2, 2), restarts=1, seed=1.9)
+    assert optimize((2, 2), restarts=2, seed=1.0).restart_scores == optimize(
+        (2, 2), restarts=2, seed=1
+    ).restart_scores
+
+
+@pytest.mark.parametrize("dims", [(2.7, 2), (2, 2.5), (2, 2, 5), (2,), (2, "2")])
+def test_optimize_and_random_setup_require_two_integral_dims(dims):
+    with pytest.raises(ValueError, match="dims"):
+        optimize(dims, restarts=1)
+    with pytest.raises(ValueError, match="dims"):
+        random_setup(dims, np.random.default_rng(0))
+
+
+def test_integral_float_dims_are_kept():
+    assert optimize((2.0, 3.0), restarts=1).restart_scores == optimize((2, 3), restarts=1).restart_scores
+    setup = random_setup((3.0, 2), np.random.default_rng(0))
+    assert (setup.dim_a, setup.dim_b) == (3, 2)

@@ -184,3 +184,23 @@ def test_outcome_map_accepts_any_sequence(container):
     assert setup.alice_outcome == (1, 0) and setup.bob_outcome == (0, 0)
     assert all(type(b) is int for b in setup.alice_outcome + setup.bob_outcome)
     assert _setup(alice_outcome=container([])).alice_outcome == (0, 1)
+
+
+#: Each strategy field holding bits, as a constructor of that field alone.
+BIT_FIELDS = {
+    "q_of_x": lambda bits: Deterministic(bits, (0, 0)).q_of_x,
+    "r_of_y": lambda bits: Deterministic((0, 0), bits).r_of_y,
+    "alice_outcome": lambda bits: _setup(alice_outcome=bits).alice_outcome,
+    "bob_outcome": lambda bits: _setup(bob_outcome=bits).bob_outcome,
+}
+
+
+@pytest.mark.parametrize("field", sorted(BIT_FIELDS))
+def test_deterministic_and_outcome_maps_share_one_bit_policy(field):
+    make = BIT_FIELDS[field]
+    assert make((1.0, 0)) == (1, 0)
+    assert make(np.array([0, 1])) == (0, 1)
+    for bad in (0.9, 2):
+        with pytest.raises(ValueError) as err:
+            make((1, bad))
+        assert str(err.value) == f"{field} must be 2 bits (0 or 1), got (1, {bad!r})"
