@@ -100,28 +100,50 @@ _ROW_TAILS = np.array(
 )
 
 
+#: ASCII digits 0-9.
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+
+
+def _index_digits(lo: int, hi: int, place: int) -> np.ndarray:
+    """ASCII digit at ``place`` (a power of ten) of each round index in ``[lo, hi)``.
+
+    Over consecutive indices that digit holds for runs of ``place`` rows and
+    steps through 0-9 from run to run, so the column is a few digits, each
+    repeated for its run; only the first and the last run can be short.
+    """
+    first, last = lo // place, (hi - 1) // place
+    runs = last - first + 1
+    digits = np.tile(_DIGITS, runs // 10 + 2)[first % 10 : first % 10 + runs]
+    if place == 1:  # runs of one row: nothing to repeat
+        return digits
+    counts = np.full(runs, place)
+    counts[0] -= lo - first * place
+    counts[-1] -= (last + 1) * place - hi
+    return np.repeat(digits, counts)
+
+
 def format_records(rounds, start: int = 0) -> str:
     """Record file rows for the ``x``, ``y``, ``q``, ``r`` columns of
     ``rounds``, numbered from ``start``; the header opens the file, so it
     comes first when ``start`` is 0.
 
     Rows whose round indices have the same number of digits are built as
-    one ``uint8`` block: the index digits, then the row's tail.
+    one ``uint8`` block: each index digit column is built from its runs
+    (:func:`_index_digits`), and the row tails are gathered from
+    ``_ROW_TAILS`` by each row's outcome code.
     """
     code = 8 * rounds.x + 4 * rounds.y + 2 * rounds.q + rounds.r
-    tails = _ROW_TAILS[code]
+    tails = np.take(_ROW_TAILS, code, axis=0)
     parts = [_RECORD_HEADER] if start == 0 else []
     lo, end = start, start + len(code)
     while lo < end:
         width = len(str(lo))
         hi = min(end, 10**width)
         block = np.empty((hi - lo, width + tails.shape[1]), dtype=np.uint8)
-        index = np.arange(lo, hi, dtype=np.int64)
-        for column in range(width - 1, -1, -1):
-            index, block[:, column] = np.divmod(index, 10)
-        block[:, :width] += ord("0")
+        for column in range(width):
+            block[:, column] = _index_digits(lo, hi, 10 ** (width - 1 - column))
         block[:, width:] = tails[lo - start : hi - start]
-        parts.append(block.tobytes().decode("ascii"))
+        parts.append(str(block, "ascii"))  # decodes the block's buffer without a bytes copy
         lo = hi
     return "".join(parts)
 

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .linalg import as_bits, as_probabilities, as_seed, as_tolerance, substream, tensor
+from .linalg import as_bits, as_integer, as_probabilities, as_seed, as_tolerance, substream, tensor
 from .tsirelson import QuantumSetup
 
 NO_SIGNALING_TOL = 1e-9
@@ -350,9 +350,19 @@ class SimulationChunk(NamedTuple):
 
 
 def _simulate_chunk(cum: np.ndarray, seed: int, chunk_index: int, count: int):
+    """The ``x``, ``y``, ``q``, ``r`` columns (``int8``) of one chunk of rounds.
+
+    Two uniform draws per round: the first picks the input pair ``2x + y``,
+    the second the outcome pair ``2q + r`` as the number of CDF entries of
+    that input pair's row lying strictly below it.  Only the first three
+    columns of ``cum`` are compared, one 1-D threshold gather each: the last
+    is 1.0, which no draw in [0, 1) reaches.
+    """
     u = substream(seed, chunk_index).random((2, count))
     setting = np.minimum((u[0] * 4.0).astype(np.int8), 3)
-    outcome = (cum[setting] < u[1][:, None]).sum(axis=1).astype(np.int8)
+    outcome = np.zeros(count, dtype=np.int8)
+    for column in range(3):
+        outcome += np.take(cum[:, column], setting) < u[1]
     return setting >> 1, setting & 1, outcome >> 1, outcome & 1
 
 
@@ -363,10 +373,12 @@ def simulate_chunks(strategy: Strategy, n: int, seed: int) -> Iterator[Simulatio
     inverse-CDF sampling from the strategy's box conditioned on the inputs.
     Rounds are produced in chunks of ``CHUNK_ROUNDS`` whose substreams depend
     only on ``(seed, chunk_index)``, so a longer run extends a shorter one's
-    whole chunks unchanged.  ``n`` and ``seed`` are checked and the box is
-    built by this call, before the first chunk is drawn, so a caller can
-    fail before it opens its output.
+    whole chunks unchanged.  ``n`` (an integer: ``10.0`` is one, ``10.5``
+    is not) and ``seed`` are checked and the box is built by this call,
+    before the first chunk is drawn, so a caller can fail before it opens
+    its output.
     """
+    n = as_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     cum = _outcome_cumulatives(box_of_strategy(strategy))
@@ -381,4 +393,4 @@ def simulate_rounds(strategy: Strategy, n: int, seed: int) -> SimulationResult:
     """Play ``n`` seeded rounds of a strategy: :func:`simulate_chunks`, joined."""
     _, *columns = zip(*simulate_chunks(strategy, n, seed))
     x, y, q, r = (np.concatenate(column) for column in columns)
-    return SimulationResult(n=n, seed=as_seed(seed), x=x, y=y, q=q, r=r, win=wins(x, y, q, r))
+    return SimulationResult(n=len(x), seed=as_seed(seed), x=x, y=y, q=q, r=r, win=wins(x, y, q, r))

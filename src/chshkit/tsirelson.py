@@ -108,12 +108,12 @@ class PreparationUnitary:
 
     def __post_init__(self) -> None:
         c = assert_unitary(self.c_psi, name="c_psi")
-        da, db = int(self.dims[0]), int(self.dims[1])
+        da, db = _as_dims(self.dims)
         if da < 1 or db < 1 or da * db != c.shape[0]:
             raise ValueError(
                 f"dims {self.dims!r} do not match preparation dimension {c.shape[0]}"
             )
-        q0, r0 = int(self.initial[0]), int(self.initial[1])
+        q0, r0 = as_integer(self.initial[0], "initial[0]"), as_integer(self.initial[1], "initial[1]")
         if not (0 <= q0 < da and 0 <= r0 < db):
             raise ValueError(f"initial configuration {self.initial!r} out of range for dims {self.dims!r}")
         object.__setattr__(self, "c_psi", c)
@@ -384,6 +384,7 @@ def optimize(
         raise ValueError(f"both local dimensions must be at least 2, got {dims!r}")
     if da * db > MAX_JOINT_DIM:
         raise ValueError(f"joint dimension {da * db} exceeds the supported cap {MAX_JOINT_DIM}")
+    restarts = as_integer(restarts, "restarts")
     if restarts < 1:
         raise ValueError("restarts must be positive")
     tol = as_tolerance(tol)

@@ -22,6 +22,7 @@ from chshkit.game import (
     score_from_correlators,
     score_from_loss_terms,
     signaling_witness,
+    simulate_chunks,
     simulate_rounds,
     win_probability,
     wins,
@@ -313,3 +314,13 @@ def test_simulate_rejects_a_non_integral_seed_and_keeps_an_integral_float():
     result = simulate_rounds(NSBox(0.5), 10, seed=7.0)
     assert type(result.seed) is int and result.seed == 7
     assert np.array_equal(result.win, simulate_rounds(NSBox(0.5), 10, seed=7).win)
+
+
+def test_simulate_reads_n_as_an_integer():
+    result = simulate_rounds(NSBox(0.5), 10.0, seed=1)
+    assert type(result.n) is int and result.n == len(result.x) == 10
+    assert np.array_equal(result.win, simulate_rounds(NSBox(0.5), 10, seed=1).win)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 10\.5$"):
+        simulate_rounds(NSBox(0.5), 10.5, seed=1)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        simulate_chunks(NSBox(0.5), "10", seed=1)

@@ -1,29 +1,35 @@
 """Property-based tests: config round-trips, the two quantum score routes,
-qcor column sums, and the CLI's exit codes on fuzzed configs."""
+qcor column sums, the CLI's exit codes on fuzzed configs, and the chunk
+sampler and record formatter against their per-row oracles."""
 
 import contextlib
 import dataclasses
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chshkit import game
 from chshkit.cli import format_records, main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
+    CHUNK_ROUNDS,
     Deterministic,
     ExplicitBox,
     NSBox,
     SharedRandomness,
     SimulationChunk,
+    _outcome_cumulatives,
+    _simulate_chunk,
     box_of_strategy,
     expected_score,
     ns_box,
 )
-from chshkit.linalg import haar_unitary
+from chshkit.linalg import haar_unitary, substream
 from chshkit.stochastic import qcor
 from chshkit.tsirelson import canonical_setup, random_setup, score_of_setup
 
@@ -193,3 +199,66 @@ def test_format_records_matches_per_row_oracle(chunk):
     start, columns = chunk
     rounds = SimulationChunk(start, *(np.array(c, dtype=np.int8) for c in columns))
     assert format_records(rounds, start) == _records_oracle(start, *columns)
+
+
+@pytest.mark.parametrize(
+    "start, count",
+    [(9_990, CHUNK_ROUNDS), (99_000, CHUNK_ROUNDS), (999_995, CHUNK_ROUNDS),
+     (10**7 - 65_530, CHUNK_ROUNDS), (123_456_789, CHUNK_ROUNDS), (10**6, 1)],
+)
+def test_format_records_matches_per_row_oracle_on_long_chunks(start, count):
+    # Whole chunks cross many runs of every index digit and, for the first
+    # four starts, a change of index width.
+    columns = np.random.default_rng(start).integers(0, 2, size=(4, count), dtype=np.int8)
+    rounds = SimulationChunk(start, *columns)
+    assert format_records(rounds, start) == _records_oracle(start, *columns.tolist())
+
+
+def _sampler_oracle(cum, u):
+    """The chunk sampler on draws ``u``, with one ``(count, 4)`` gather of CDF rows."""
+    setting = np.minimum((u[0] * 4.0).astype(np.int8), 3)
+    outcome = (cum[setting] < u[1][:, None]).sum(axis=1).astype(np.int8)
+    return setting >> 1, setting & 1, outcome >> 1, outcome & 1
+
+
+def _assert_columns_equal(got, want):
+    for column, expected in zip(got, want):
+        assert column.dtype == np.int8
+        np.testing.assert_array_equal(column, expected)
+
+
+#: Deterministic boxes and NS boxes at e = -1 or 1 have CDF rows with tied
+#: 0.0 and 1.0 entries.
+sampled_strategies = st.one_of(
+    quantum_setups(),
+    mixtures(),
+    deterministic,
+    st.builds(NSBox, st.sampled_from([-1.0, 1.0])),
+)
+
+
+@PROPERTY
+@given(
+    strategy=sampled_strategies,
+    seed=st.integers(0, 2**64 - 1),
+    chunk_indices=st.lists(st.integers(0, 2**20), min_size=1, max_size=3),
+    count=st.sampled_from([1, 7, 4096, CHUNK_ROUNDS]),
+)
+def test_chunk_sampler_matches_row_gather_oracle(strategy, seed, chunk_indices, count):
+    cum = _outcome_cumulatives(box_of_strategy(strategy))
+    for chunk_index in chunk_indices:
+        u = substream(seed, chunk_index).random((2, count))
+        _assert_columns_equal(_simulate_chunk(cum, seed, chunk_index, count), _sampler_oracle(cum, u))
+
+
+@pytest.mark.parametrize("strategy", [NSBox(1.0), NSBox(-1.0), NSBox(0.0), Deterministic((0, 1), (1, 1))])
+def test_chunk_sampler_counts_strict_hits_on_draws_that_tie_a_cdf_entry(monkeypatch, strategy):
+    # Seeded draws almost never equal a CDF entry exactly, so these are fed
+    # in: every input pair against each of 0, 1/4, 1/2 and 3/4 and their
+    # neighbours.  A ``<=`` compare would count a tied entry as passed.
+    ties = [0.0, 0.25, 0.5, 0.75]
+    second = ties + [np.nextafter(t, 1.0) for t in ties] + [np.nextafter(t, 0.0) for t in ties[1:]]
+    u = np.array([(first, v) for first in ties for v in second]).T
+    monkeypatch.setattr(game, "substream", lambda seed, k: SimpleNamespace(random=lambda shape: u))
+    cum = _outcome_cumulatives(box_of_strategy(strategy))
+    _assert_columns_equal(_simulate_chunk(cum, 0, 0, u.shape[1]), _sampler_oracle(cum, u))

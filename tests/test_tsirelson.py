@@ -309,3 +309,29 @@ def test_integral_float_dims_are_kept():
     assert optimize((2.0, 3.0), restarts=1).restart_scores == optimize((2, 3), restarts=1).restart_scores
     setup = random_setup((3.0, 2), np.random.default_rng(0))
     assert (setup.dim_a, setup.dim_b) == (3, 2)
+
+
+def test_optimize_reads_restarts_as_an_integer():
+    with pytest.raises(ValueError, match=r"^restarts must be an integer, got 2\.5$"):
+        optimize((2, 2), restarts=2.5)
+    result = optimize((2, 2), restarts=2.0, seed=3)
+    assert result.restart_scores == optimize((2, 2), restarts=2, seed=3).restart_scores
+
+
+@pytest.mark.parametrize(
+    "dims, initial, message",
+    [((2.5, 2.0), (0, 1), r"^dims\[0\] must be an integer"),
+     ((2, 2), (0.7, 1), r"^initial\[0\] must be an integer"),
+     ((2, 2), (0, 1.9), r"^initial\[1\] must be an integer"),
+     ((2, 2, 1), (0, 0), "^dims must be two local dimensions")],
+)
+def test_preparation_unitary_rejects_non_integral_dims_and_initial(dims, initial, message):
+    with pytest.raises(ValueError, match=message):
+        PreparationUnitary(np.eye(4), dims=dims, initial=initial)
+
+
+def test_preparation_unitary_keeps_integral_floats():
+    prep = PreparationUnitary(np.eye(4), dims=(2.0, 2.0), initial=(1.0, 0))
+    assert prep.dims == (2, 2) and prep.initial == (1, 0)
+    assert all(type(v) is int for v in prep.dims + prep.initial)
+    assert np.array_equal(prepare_state(prep), basis_state(4, 2))
