@@ -13,8 +13,8 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import as_probabilities, as_tolerance, assert_unitary
-from .stochastic import as_stochastic_matrix
+from .linalg import as_dims, as_integer, as_probabilities, as_tolerance
+from .stochastic import as_stochastic_matrix, unistochastic_of
 
 #: Default influence tolerance; table entries are products of at most four
 #: double-precision factors.
@@ -43,6 +43,19 @@ def marginal_r(joint) -> np.ndarray:
     return as_joint_conditional(joint).sum(axis=0)
 
 
+def _remote_spread(table: np.ndarray, side: int) -> np.ndarray:
+    """``max - min`` of one side's marginal over the remote start, as ``[outcome, own start]``.
+
+    ``table`` is a validated ``p[q_t, r_t, q_0, r_0]``; side 0 is ``q``, side 1 is ``r``.
+    """
+    m = table.sum(axis=1 - side)
+    return m.max(axis=2 - side) - m.min(axis=2 - side)
+
+
+def _independent(j: np.ndarray, tol: float) -> bool:
+    return not _remote_spread(j, 0).max() > tol and not _remote_spread(j, 1).max() > tol
+
+
 def influences(joint, direction: Direction, tol: float = INFLUENCE_TOL) -> bool:
     """Whether one subsystem's start genuinely steers the other's marginal.
 
@@ -52,21 +65,15 @@ def influences(joint, direction: Direction, tol: float = INFLUENCE_TOL) -> bool:
     conditional exists exactly when the marginal does not depend on it.
     """
     tol = as_tolerance(tol)
-    if direction == "r_on_q":
-        m = marginal_q(joint)
-        remote_axis = 2
-    elif direction == "q_on_r":
-        m = marginal_r(joint)
-        remote_axis = 1
-    else:
+    if direction not in ("r_on_q", "q_on_r"):
         raise ValueError(f"direction must be 'r_on_q' or 'q_on_r', got {direction!r}")
-    spread = m.max(axis=remote_axis) - m.min(axis=remote_axis)
-    return bool(spread.max() > tol)
+    return bool(_remote_spread(as_joint_conditional(joint), int(direction == "q_on_r")).max() > tol)
 
 
 def causally_independent(joint, tol: float = INFLUENCE_TOL) -> bool:
     """True iff neither subsystem influences the other."""
-    return not influences(joint, "r_on_q", tol) and not influences(joint, "q_on_r", tol)
+    tol = as_tolerance(tol)
+    return _independent(as_joint_conditional(joint), tol)
 
 
 def non_interacting(joint, tol: float = INFLUENCE_TOL) -> bool:
@@ -79,12 +86,11 @@ def non_interacting(joint, tol: float = INFLUENCE_TOL) -> bool:
     """
     tol = as_tolerance(tol)
     j = as_joint_conditional(joint)
-    if not causally_independent(j, tol):
+    if not _independent(j, tol):
         return False
-    pq = marginal_q(j).mean(axis=2)  # constant in r_0 within tol; average it out
-    pr = marginal_r(j).mean(axis=1)
-    product = np.einsum("ac,bd->abcd", pq, pr)
-    return bool(np.max(np.abs(j - product)) <= tol)
+    pq = j.sum(axis=1).mean(axis=2)  # constant in r_0 within tol; average it out
+    pr = j.sum(axis=0).mean(axis=1)
+    return bool(np.max(np.abs(j - np.einsum("ac,bd->abcd", pq, pr))) <= tol)
 
 
 def joint_from_unitary(u, dims: tuple[int, int]) -> np.ndarray:
@@ -92,18 +98,19 @@ def joint_from_unitary(u, dims: tuple[int, int]) -> np.ndarray:
 
     ``table[q_t, r_t, q_0, r_0]`` is the squared modulus of the matrix entry
     between composite configuration-basis vectors, with the row-major index
-    convention ``(q, r) -> q * dims[1] + r``.
+    convention ``(q, r) -> q * dims[1] + r``.  ``dims`` is two positive
+    integers (``2.0`` is one; ``2.5`` is not) whose product is the side of ``u``.
     """
-    dq, dr = int(dims[0]), int(dims[1])
+    dq, dr = as_dims(dims)
     if dq < 1 or dr < 1:
         raise ValueError(f"dims must be positive, got {dims!r}")
-    a = assert_unitary(u, name="u")
-    if a.shape[0] != dq * dr:
+    gamma = unistochastic_of(u)
+    if gamma.shape[0] != dq * dr:
         raise ValueError(
-            f"dimension mismatch: u is {a.shape[0]}x{a.shape[1]} but dims {dims!r} "
+            f"dimension mismatch: u is {gamma.shape[0]}x{gamma.shape[1]} but dims {dims!r} "
             f"imply {dq * dr}"
         )
-    return (np.abs(a) ** 2).reshape(dq, dr, dq, dr)
+    return gamma.reshape(dq, dr, dq, dr)
 
 
 def product_joint(gamma_q, gamma_r) -> np.ndarray:
@@ -115,21 +122,25 @@ def product_joint(gamma_q, gamma_r) -> np.ndarray:
     return np.einsum("ac,bd->abcd", gq, gr)
 
 
+def _blank_joint(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All-zero ``(dim,) * 4`` table and the index grids of its starts ``q_0``, ``r_0``."""
+    dim = as_integer(dim, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    return (np.zeros((dim,) * 4), *np.indices((dim, dim)))
+
+
 def swap_joint(dim: int) -> np.ndarray:
     """Joint dynamics that exchange the two subsystems' configurations."""
-    table = np.zeros((dim, dim, dim, dim))
-    for q0 in range(dim):
-        for r0 in range(dim):
-            table[r0, q0, q0, r0] = 1.0
+    table, q0, r0 = _blank_joint(dim)
+    table[r0, q0, q0, r0] = 1.0
     return table
 
 
 def one_way_copy_joint(dim: int) -> np.ndarray:
     """Joint dynamics that keep the first subsystem and copy it onto the second."""
-    table = np.zeros((dim, dim, dim, dim))
-    for q0 in range(dim):
-        for r0 in range(dim):
-            table[q0, q0, q0, r0] = 1.0
+    table, q0, r0 = _blank_joint(dim)
+    table[q0, q0, q0, r0] = 1.0
     return table
 
 
@@ -140,9 +151,6 @@ def correlated_noise_joint() -> np.ndarray:
     Each marginal is uniform regardless of either start, so the subsystems
     are causally independent, yet the joint does not factorize.
     """
-    table = np.zeros((2, 2, 2, 2))
-    for q0 in range(2):
-        for r0 in range(2):
-            table[q0, r0, q0, r0] += 0.5
-            table[1 - q0, 1 - r0, q0, r0] += 0.5
+    table, q0, r0 = _blank_joint(2)
+    table[q0, r0, q0, r0] = table[1 - q0, 1 - r0, q0, r0] = 0.5
     return table

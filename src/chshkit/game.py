@@ -16,6 +16,7 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
+from .causality import _remote_spread
 from .linalg import as_bits, as_integer, as_probabilities, as_seed, as_tolerance, substream, tensor
 from .tsirelson import QuantumSetup
 
@@ -120,23 +121,16 @@ class SignalingWitness:
 def signaling_witness(box, tol: float = NO_SIGNALING_TOL) -> SignalingWitness | None:
     """The worst no-signaling violation in a box, or None if it passes.
 
-    Alice's marginal must not move with Bob's setting and vice versa; the
-    witness records the outcome, own setting, and the two remote settings
-    whose marginals differ the most.
+    Alice's marginal must not move with Bob's setting and vice versa: the
+    box's causal independence read as a process (settings in, outcomes out).
+    The witness is the largest spread; ties go to the lower outcome, then own setting, then Alice.
     """
     tol = as_tolerance(tol)
     b = as_correlation_box(box)
-    worst: SignalingWitness | None = None
-    marg_a = b.sum(axis=1)  # [q, x, y]
-    marg_b = b.sum(axis=0)  # [r, x, y]
-    for out, own in product((0, 1), repeat=2):
-        delta_a = abs(marg_a[out, own, 0] - marg_a[out, own, 1])
-        if delta_a > tol and (worst is None or delta_a > worst.delta):
-            worst = SignalingWitness("alice", out, own, 0, 1, float(delta_a))
-        delta_b = abs(marg_b[out, 0, own] - marg_b[out, 1, own])
-        if delta_b > tol and (worst is None or delta_b > worst.delta):
-            worst = SignalingWitness("bob", out, own, 0, 1, float(delta_b))
-    return worst
+    spread = [_remote_spread(b, side).tolist() for side in (0, 1)]  # [side][outcome][own setting]
+    out, own, side = max(product((0, 1), repeat=3), key=lambda k: spread[k[2]][k[0]][k[1]])
+    delta = spread[side][out][own]
+    return SignalingWitness(("alice", "bob")[side], out, own, 0, 1, delta) if delta > tol else None
 
 
 def is_no_signaling(box, tol: float = NO_SIGNALING_TOL) -> bool:

@@ -52,6 +52,13 @@ def as_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_dims(dims) -> tuple[int, int]:
+    """Validate a pair of local dimensions: exactly two integers, not truncated."""
+    if len(dims) != 2:
+        raise ValueError(f"dims must be two local dimensions, got {dims!r}")
+    return as_integer(dims[0], "dims[0]"), as_integer(dims[1], "dims[1]")
+
+
 def as_seed(seed) -> int:
     """Validate a seed: an integer in [0, 2**64), rejected rather than truncated or wrapped."""
     seed = as_integer(seed, "seed")
@@ -237,17 +244,15 @@ def assert_unitaries(u, name: str = "matrix") -> np.ndarray:
 
 def projector(dim: int, index: int) -> np.ndarray:
     """Rank-1 diagonal projector onto one configuration-basis vector."""
+    dim = as_integer(dim, "dim")
     if dim < 1 or dim > MAX_DIM:
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} out of range for dimension {dim}")
-    p = np.zeros((dim, dim), dtype=complex)
-    p[index, index] = 1.0
-    return p
+    return np.diag(basis_state(dim, index))
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Configuration-basis vector of the given dimension."""
+    dim, index = as_integer(dim, "dim"), as_integer(index, "index")
     if not 0 <= index < dim:
         raise ValueError(f"index {index} out of range for dimension {dim}")
     v = np.zeros(dim, dtype=complex)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_DIM, SUM_TOL, as_probabilities, as_tolerance, assert_unitary, substream
+from .linalg import MAX_DIM, SUM_TOL, as_integer, as_probabilities, as_tolerance, assert_unitary, substream
 
 #: Division events are only ever defined up to a working precision; callers
 #: may widen or tighten this.
@@ -145,6 +145,7 @@ def dilation_report(
             "gamma must be doubly stochastic: only doubly stochastic matrices can equal "
             "the squared moduli of a unitary"
         )
+    max_restarts = as_integer(max_restarts, "max_restarts")
     if max_restarts < 1:
         raise ValueError("max_restarts must be positive")
     roots = np.sqrt(np.clip(g, 0.0, None))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     as_bits,
+    as_dims,
     as_integer,
     as_state_vector,
     as_state_vectors,
@@ -108,11 +109,9 @@ class PreparationUnitary:
 
     def __post_init__(self) -> None:
         c = assert_unitary(self.c_psi, name="c_psi")
-        da, db = _as_dims(self.dims)
+        da, db = as_dims(self.dims)
         if da < 1 or db < 1 or da * db != c.shape[0]:
-            raise ValueError(
-                f"dims {self.dims!r} do not match preparation dimension {c.shape[0]}"
-            )
+            raise ValueError(f"dims {self.dims!r} do not match preparation dimension {c.shape[0]}")
         q0, r0 = as_integer(self.initial[0], "initial[0]"), as_integer(self.initial[1], "initial[1]")
         if not (0 <= q0 < da and 0 <= r0 < db):
             raise ValueError(f"initial configuration {self.initial!r} out of range for dims {self.dims!r}")
@@ -224,16 +223,9 @@ def _draw_starts(dims: tuple[int, int], rngs) -> tuple[np.ndarray, np.ndarray, n
     )
 
 
-def _as_dims(dims) -> tuple[int, int]:
-    """Validate a pair of local dimensions: exactly two integers, not truncated."""
-    if len(dims) != 2:
-        raise ValueError(f"dims must be two local dimensions, got {dims!r}")
-    return as_integer(dims[0], "dims[0]"), as_integer(dims[1], "dims[1]")
-
-
 def random_setup(dims: tuple[int, int], rng: np.random.Generator) -> QuantumSetup:
     """Haar-random local unitaries with a random normalized shared state."""
-    state, a, b = _draw_starts(_as_dims(dims), [rng])
+    state, a, b = _draw_starts(as_dims(dims), [rng])
     return QuantumSetup(state[0], *a[0], *b[0])
 
 
@@ -379,7 +371,7 @@ def optimize(
     confines the search to strategies a classical shared-randomness pair
     could play.
     """
-    da, db = _as_dims(dims)
+    da, db = as_dims(dims)
     if da < 2 or db < 2:
         raise ValueError(f"both local dimensions must be at least 2, got {dims!r}")
     if da * db > MAX_JOINT_DIM:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chshkit import causality, game
 from chshkit.causality import (
     as_joint_conditional,
     causally_independent,
@@ -14,6 +15,7 @@ from chshkit.causality import (
     product_joint,
     swap_joint,
 )
+from chshkit.game import as_correlation_box
 from chshkit.linalg import haar_unitary, tensor
 from chshkit.stochastic import unistochastic_of
 
@@ -189,3 +191,53 @@ def test_joint_validation_rejects_bad_tables():
         as_joint_conditional(np.ones((2, 2, 2, 2)))
     with pytest.raises(ValueError):
         as_joint_conditional(np.zeros((2, 2, 2, 3)))
+
+
+def test_joint_from_unitary_reads_dims_as_two_integers():
+    assert np.array_equal(joint_from_unitary(np.eye(4), (2.0, 2.0)), joint_from_unitary(np.eye(4), (2, 2)))
+    with pytest.raises(ValueError, match=r"^dims\[0\] must be an integer, got 2\.5$"):
+        joint_from_unitary(np.eye(4), (2.5, 2))
+    with pytest.raises(ValueError, match=r"^dims must be two local dimensions, got \(2, 2, 7\)$"):
+        joint_from_unitary(np.eye(4), (2, 2, 7))
+
+
+@pytest.mark.parametrize("build", [swap_joint, one_way_copy_joint])
+def test_deterministic_joints_read_dim_as_a_positive_integer(build):
+    assert np.array_equal(build(3.0), build(3))
+    with pytest.raises(ValueError, match=r"^dim must be positive, got 0$"):
+        build(0)
+    with pytest.raises(ValueError, match=r"^dim must be an integer, got 1\.5$"):
+        build(1.5)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda j: influences(j, "r_on_q"),
+        lambda j: influences(j, "q_on_r"),
+        causally_independent,
+        non_interacting,
+    ],
+)
+def test_each_causality_check_validates_its_table_once(monkeypatch, check):
+    calls = []
+
+    def counting(table, name="joint"):
+        calls.append(name)
+        return as_joint_conditional(table, name)
+
+    monkeypatch.setattr(causality, "as_joint_conditional", counting)
+    check(product_joint(np.eye(2), np.eye(3)))
+    assert calls == ["joint"]
+
+
+def test_signaling_witness_validates_its_box_once(monkeypatch):
+    calls = []
+
+    def counting(box, name="box"):
+        calls.append(name)
+        return as_correlation_box(box, name)
+
+    monkeypatch.setattr(game, "as_correlation_box", counting)
+    assert game.signaling_witness(game.ns_box(0.5)) is None
+    assert calls == ["box"]

@@ -11,6 +11,7 @@ from chshkit.linalg import (
     as_state_vectors,
     assert_unitaries,
     assert_unitary,
+    basis_state,
     dephase,
     dictionary_prob,
     haar_unitary,
@@ -331,3 +332,15 @@ def test_as_integer_names_the_value():
     assert as_integer(4.0, "count") == 4
     with pytest.raises(ValueError, match=r"^count must be an integer, got 4\.5$"):
         as_integer(4.5, "count")
+
+
+def test_projector_and_basis_state_read_integers():
+    assert np.array_equal(projector(2, 1.0), projector(2, 1))
+    assert np.array_equal(basis_state(3.0, 2), basis_state(3, 2))
+    with pytest.raises(ValueError, match=r"^dim must be an integer, got 2\.5$"):
+        projector(2.5, 1)
+    with pytest.raises(ValueError, match=r"^index must be an integer, got 0\.5$"):
+        basis_state(2, 0.5)
+    with pytest.raises(ValueError, match=r"^index 2 out of range for dimension 2$"):
+        projector(2, 2)
+    assert np.array_equal(projector(3, 1), np.diag(basis_state(3, 1)))

@@ -1,10 +1,12 @@
 """Property-based tests: config round-trips, the two quantum score routes,
-qcor column sums, the CLI's exit codes on fuzzed configs, and the chunk
-sampler and record formatter against their per-row oracles."""
+qcor column sums, the CLI's exit codes on fuzzed configs, the chunk
+sampler and record formatter against their per-row oracles, and the
+no-signaling witness against its per-entry loop."""
 
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshkit import game
+from chshkit.causality import causally_independent
 from chshkit.cli import format_records, main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
@@ -22,12 +25,15 @@ from chshkit.game import (
     ExplicitBox,
     NSBox,
     SharedRandomness,
+    SignalingWitness,
     SimulationChunk,
     _outcome_cumulatives,
     _simulate_chunk,
     box_of_strategy,
     expected_score,
+    is_no_signaling,
     ns_box,
+    signaling_witness,
 )
 from chshkit.linalg import haar_unitary, substream
 from chshkit.stochastic import qcor
@@ -262,3 +268,36 @@ def test_chunk_sampler_counts_strict_hits_on_draws_that_tie_a_cdf_entry(monkeypa
     monkeypatch.setattr(game, "substream", lambda seed, k: SimpleNamespace(random=lambda shape: u))
     cum = _outcome_cumulatives(box_of_strategy(strategy))
     _assert_columns_equal(_simulate_chunk(cum, 0, 0, u.shape[1]), _sampler_oracle(cum, u))
+
+
+def _witness_oracle(box, tol):
+    """The per-entry loop: outcome, then own setting, Alice before Bob; the first maximum wins."""
+    marg_a, marg_b = box.sum(axis=1), box.sum(axis=0)
+    worst = None
+    for out, own in itertools.product((0, 1), repeat=2):
+        for side, delta in (
+            ("alice", abs(marg_a[out, own, 0] - marg_a[out, own, 1])),
+            ("bob", abs(marg_b[out, 0, own] - marg_b[out, 1, own])),
+        ):
+            if delta > tol and (worst is None or delta > worst.delta):
+                worst = SignalingWitness(side, out, own, 0, 1, float(delta))
+    return worst
+
+
+@st.composite
+def tied_boxes(draw):
+    """Small-integer counts normalized per input pair: spreads often tie exactly."""
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=16, max_size=16)), dtype=float)
+    counts = counts.reshape(2, 2, 2, 2)
+    counts[0, 0][counts.sum(axis=(0, 1)) == 0] = 1.0
+    return counts / counts.sum(axis=(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    box=st.one_of(tied_boxes(), explicit_boxes().map(lambda s: s.table)),
+    tol=st.sampled_from([1e-9, 1e-3, 0.1, 1 / 6, 0.25, 0.5]),
+)
+def test_no_signaling_is_causal_independence_of_the_box(box, tol):
+    assert is_no_signaling(box, tol) == causally_independent(box, tol)
+    assert signaling_witness(box, tol) == _witness_oracle(box, tol)

@@ -305,3 +305,11 @@ def test_dilation_rejects_a_non_integral_seed():
         dilation_report(UNIFORMIZER, seed=0.5)
     a, b = dilation_report(UNIFORMIZER, seed=3.0), dilation_report(UNIFORMIZER, seed=3)
     assert np.array_equal(a.unitary, b.unitary) and a.residual == b.residual
+
+
+def test_dilation_reads_max_restarts_as_an_integer():
+    a = dilation_report(WITNESS_3X3, max_restarts=2.0, seed=5)
+    b = dilation_report(WITNESS_3X3, max_restarts=2, seed=5)
+    assert a.unitary is None and b.unitary is None and a.residual == b.residual
+    with pytest.raises(ValueError, match=r"^max_restarts must be an integer, got 2\.5$"):
+        dilation_report(WITNESS_3X3, max_restarts=2.5)
