@@ -26,12 +26,12 @@ from .configio import (
     save_strategy,
 )
 from .game import (
-    box_of_strategy,
-    expected_score,
+    UNIFORM_INPUTS,
+    _chunks,
+    _score,
+    _witness,
     as_input_distribution,
-    is_no_signaling,
-    signaling_witness,
-    simulate_chunks,
+    box_of_strategy,
     win_probability,
     wins,
 )
@@ -51,15 +51,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_inputs(spec: str) -> np.ndarray:
+def _comma_list(spec: str, flag: str, form: str, cast, what: str) -> list:
+    """``spec`` split on commas into one ``cast`` value per field of ``form``."""
     parts = spec.split(",")
-    if len(parts) != 4:
-        raise ConfigError(f"--inputs must be 'p00,p01,p10,p11', got {spec!r}")
+    if len(parts) != len(form.split(",")):
+        raise ConfigError(f"{flag} must be {form!r}, got {spec!r}")
     try:
-        values = [float(p) for p in parts]
+        return [cast(p) for p in parts]
     except ValueError as exc:
-        raise ConfigError(f"--inputs must be four numbers, got {spec!r}") from exc
-    return as_input_distribution(np.array(values).reshape(2, 2), "--inputs")
+        raise ConfigError(f"{flag} must be {what}, got {spec!r}") from exc
 
 
 def _bound_margin(strategy, box) -> float | None:
@@ -70,24 +70,27 @@ def _bound_margin(strategy, box) -> float | None:
     """
     if not isinstance(strategy, QuantumSetup):
         return None
-    return TSIRELSON_SCORE - abs(expected_score(box))
+    return TSIRELSON_SCORE - abs(_score(box))
 
 
-def _score_report(strategy, inputs=None) -> dict:
-    box = box_of_strategy(strategy)
-    score = expected_score(box, inputs)
+def _score_report(strategy, box, inputs=UNIFORM_INPUTS) -> dict:
+    """The score keys of a strategy's validated box, under validated inputs."""
+    score = _score(box, inputs)
     return {
         "exact_score": score,
         "exact_win_probability": win_probability(score),
-        "ns_check": "pass" if is_no_signaling(box) else "fail",
+        "ns_check": "pass" if _witness(box) is None else "fail",
         "bound_margin": _bound_margin(strategy, box),
     }
 
 
 def cmd_score(args) -> dict:
     strategy = load_strategy(args.config)
-    inputs = _parse_inputs(args.inputs) if args.inputs else None
-    return _score_report(strategy, inputs)
+    inputs = UNIFORM_INPUTS
+    if args.inputs:
+        p = _comma_list(args.inputs, "--inputs", "p00,p01,p10,p11", float, "four numbers")
+        inputs = as_input_distribution(np.reshape(p, (2, 2)), "--inputs")
+    return _score_report(strategy, box_of_strategy(strategy), inputs)
 
 
 _RECORD_HEADER = "round_index,x,y,q,r,win\n"
@@ -150,15 +153,16 @@ def format_records(rounds, start: int = 0) -> str:
 
 def cmd_simulate(args) -> dict:
     strategy = load_strategy(args.config)
-    # Checks n and the seed and builds the box now, so a bad run leaves --out alone.
-    chunks = simulate_chunks(strategy, args.n, args.seed)
+    box = box_of_strategy(strategy)
+    # Checks n and the seed now, so a bad run leaves --out alone.
+    chunks = _chunks(box, args.n, args.seed)
     won = 0
     with open(args.out, "w", encoding="utf-8") as fh:
         for chunk in chunks:
             fh.write(format_records(chunk, chunk.start))
             won += int(np.count_nonzero(wins(chunk.x, chunk.y, chunk.q, chunk.r)))
     win_rate = won / args.n
-    return _score_report(strategy) | {
+    return _score_report(strategy, box) | {
         "empirical_score": 2.0 * win_rate - 1.0,
         "empirical_win_rate": win_rate,
         "n_rounds": args.n,
@@ -169,7 +173,7 @@ def cmd_simulate(args) -> dict:
 def cmd_audit(args) -> dict:
     strategy = load_strategy(args.config)
     box = box_of_strategy(strategy)
-    witness = signaling_witness(box)
+    witness = _witness(box)
     report = {"ns_check": "pass" if witness is None else "fail"}
     if witness is not None:
         report |= {
@@ -188,13 +192,7 @@ def cmd_audit(args) -> dict:
 
 
 def cmd_optimize(args) -> dict:
-    dims_parts = args.dims.split(",")
-    if len(dims_parts) != 2:
-        raise ConfigError(f"--dims must be 'dim_a,dim_b', got {args.dims!r}")
-    try:
-        dims = (int(dims_parts[0]), int(dims_parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"--dims must be two integers, got {args.dims!r}") from exc
+    dims = _comma_list(args.dims, "--dims", "dim_a,dim_b", int, "two integers")
     result = optimize(dims=dims, restarts=args.restarts, seed=args.seed, tol=args.tol)
     save_strategy(result.setup, args.out)
     trace_path = args.out + ".trace.csv"

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple, Union
 import numpy as np
 
 from .causality import _remote_spread
-from .linalg import as_bits, as_integer, as_probabilities, as_seed, as_tolerance, substream, tensor
+from .linalg import as_bits, as_integer, as_probabilities, as_seed, as_tolerance, substream
 from .tsirelson import QuantumSetup
 
 NO_SIGNALING_TOL = 1e-9
@@ -33,10 +33,8 @@ def wins(x, y, q, r):
 
 
 def _build_sign() -> np.ndarray:
-    s = np.empty((2, 2, 2, 2))
-    for q, r, x, y in product((0, 1), repeat=4):
-        s[q, r, x, y] = 1.0 if wins(x, y, q, r) else -1.0
-    return s
+    q, r, x, y = np.indices((2, 2, 2, 2))
+    return np.where(wins(x, y, q, r), 1.0, -1.0)
 
 
 #: sign[q, r, x, y]: +1 on winning outcomes, -1 on losing ones.
@@ -72,11 +70,15 @@ def ns_box(e: float) -> np.ndarray:
     return (1.0 + _SIGN * NSBox(e).e) / 4.0
 
 
-def expected_score(box, inputs=None) -> float:
-    """Expected score of a box: the win/loss-signed sum weighted by the inputs."""
-    b = as_correlation_box(box)
-    w = UNIFORM_INPUTS if inputs is None else as_input_distribution(inputs)
+def _score(b: np.ndarray, w: np.ndarray = UNIFORM_INPUTS) -> float:
+    """:func:`expected_score` of a validated box under validated inputs."""
     return float(np.einsum("qrxy,xy->", _SIGN * b, w))
+
+
+def expected_score(box, inputs=None) -> float:
+    """Expected score of a box (validated once): the win/loss-signed sum weighted by the inputs."""
+    b = as_correlation_box(box)
+    return _score(b, UNIFORM_INPUTS if inputs is None else as_input_distribution(inputs))
 
 
 def score_from_loss_terms(box) -> float:
@@ -119,14 +121,18 @@ class SignalingWitness:
 
 
 def signaling_witness(box, tol: float = NO_SIGNALING_TOL) -> SignalingWitness | None:
-    """The worst no-signaling violation in a box, or None if it passes.
+    """The worst no-signaling violation in a box (validated once), or None if it passes.
 
     Alice's marginal must not move with Bob's setting and vice versa: the
     box's causal independence read as a process (settings in, outcomes out).
     The witness is the largest spread; ties go to the lower outcome, then own setting, then Alice.
     """
     tol = as_tolerance(tol)
-    b = as_correlation_box(box)
+    return _witness(as_correlation_box(box), tol)
+
+
+def _witness(b: np.ndarray, tol: float = NO_SIGNALING_TOL) -> SignalingWitness | None:
+    """:func:`signaling_witness` of a validated box at a validated tolerance."""
     spread = [_remote_spread(b, side).tolist() for side in (0, 1)]  # [side][outcome][own setting]
     out, own, side = max(product((0, 1), repeat=3), key=lambda k: spread[k[2]][k[0]][k[1]])
     delta = spread[side][out][own]
@@ -208,19 +214,12 @@ def _deterministic_box(strategy: Deterministic) -> np.ndarray:
 
 
 def _quantum_box(setup: QuantumSetup) -> np.ndarray:
-    da, db = setup.dim_a, setup.dim_b
-    a_sel = [np.array([k for k, b in enumerate(setup.alice_outcome) if b == bit]) for bit in (0, 1)]
-    b_sel = [np.array([k for k, b in enumerate(setup.bob_outcome) if b == bit]) for bit in (0, 1)]
-    box = np.zeros((2, 2, 2, 2))
-    for x, a in enumerate((setup.a0, setup.a1)):
-        for y, b in enumerate((setup.b0, setup.b1)):
-            amplitudes = tensor(a, b) @ setup.state
-            weight = (np.abs(amplitudes) ** 2).reshape(da, db)
-            for q in (0, 1):
-                for r in (0, 1):
-                    if a_sel[q].size and b_sel[r].size:
-                        box[q, r, x, y] = float(weight[np.ix_(a_sel[q], b_sel[r])].sum())
-    return box
+    """``|A_x Psi B_y^T|^2`` (``Psi`` the state as a matrix) coarse-grained by the outcome maps."""
+    psi = setup.state.reshape(setup.dim_a, setup.dim_b)
+    a, b = np.stack((setup.a0, setup.a1)), np.stack((setup.b0, setup.b1))
+    weight = np.abs(a[:, None] @ psi @ b.swapaxes(-1, -2)) ** 2  # [x, y, i, j]
+    onehot_a, onehot_b = np.eye(2)[list(setup.alice_outcome)], np.eye(2)[list(setup.bob_outcome)]
+    return np.einsum("xyij,iq,jr->qrxy", weight, onehot_a, onehot_b)
 
 
 def box_of_strategy(strategy: Strategy) -> np.ndarray:
@@ -229,14 +228,12 @@ def box_of_strategy(strategy: Strategy) -> np.ndarray:
     Deterministic strategies give delta tables, mixtures their weighted
     average, the no-signaling family its closed form, and quantum setups the
     coarse-grained squared amplitudes of the locally evolved shared state.
+    The box returned is validated: ``_score``, ``_witness`` and ``_chunks`` take it as it is.
     """
     if isinstance(strategy, Deterministic):
         return _deterministic_box(strategy)
     if isinstance(strategy, SharedRandomness):
-        box = np.zeros((2, 2, 2, 2))
-        for weight, det in strategy.mixture:
-            box += weight * _deterministic_box(det)
-        return as_correlation_box(box)
+        return as_correlation_box(sum(w * _deterministic_box(det) for w, det in strategy.mixture))
     if isinstance(strategy, NSBox):
         return ns_box(strategy.e)
     if isinstance(strategy, ExplicitBox):
@@ -324,11 +321,7 @@ class SimulationResult:
 
 def _outcome_cumulatives(box: np.ndarray) -> np.ndarray:
     """Per-input-pair cumulative outcome table; rows indexed by 2x+y, columns by 2q+r."""
-    pmf = np.empty((4, 4))
-    for x, y in product((0, 1), repeat=2):
-        for q, r in product((0, 1), repeat=2):
-            pmf[2 * x + y, 2 * q + r] = box[q, r, x, y]
-    cum = np.cumsum(pmf, axis=1)
+    cum = np.cumsum(box.transpose(2, 3, 0, 1).reshape(4, 4), axis=1)
     cum[:, -1] = 1.0  # guard against round-off at the top of the CDF
     return cum
 
@@ -367,15 +360,20 @@ def simulate_chunks(strategy: Strategy, n: int, seed: int) -> Iterator[Simulatio
     inverse-CDF sampling from the strategy's box conditioned on the inputs.
     Rounds are produced in chunks of ``CHUNK_ROUNDS`` whose substreams depend
     only on ``(seed, chunk_index)``, so a longer run extends a shorter one's
-    whole chunks unchanged.  ``n`` (an integer: ``10.0`` is one, ``10.5``
-    is not) and ``seed`` are checked and the box is built by this call,
-    before the first chunk is drawn, so a caller can fail before it opens
-    its output.
+    whole chunks unchanged.  The box is built and validated by this call,
+    and ``n`` (an integer: ``10.0`` is one, ``10.5`` is not) and ``seed``
+    are checked, before the first chunk is drawn, so a caller can fail
+    before it opens its output.
     """
+    return _chunks(box_of_strategy(strategy), n, seed)
+
+
+def _chunks(box: np.ndarray, n: int, seed: int) -> Iterator[SimulationChunk]:
+    """:func:`simulate_chunks` of a validated box; ``n`` and ``seed`` are checked now."""
     n = as_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
-    cum = _outcome_cumulatives(box_of_strategy(strategy))
+    cum = _outcome_cumulatives(box)
     seed = as_seed(seed)
     return (
         SimulationChunk(start, *_simulate_chunk(cum, seed, i, min(CHUNK_ROUNDS, n - start)))

@@ -54,9 +54,11 @@ def as_integer(value, name: str) -> int:
 
 def as_dims(dims) -> tuple[int, int]:
     """Validate a pair of local dimensions: exactly two integers, not truncated."""
-    if len(dims) != 2:
-        raise ValueError(f"dims must be two local dimensions, got {dims!r}")
-    return as_integer(dims[0], "dims[0]"), as_integer(dims[1], "dims[1]")
+    try:
+        da, db = dims
+    except (TypeError, ValueError):
+        raise ValueError(f"dims must be two local dimensions, got {dims!r}") from None
+    return as_integer(da, "dims[0]"), as_integer(db, "dims[1]")
 
 
 def as_seed(seed) -> int:
@@ -269,6 +271,7 @@ def dictionary_prob(u, q_t: int, q_0: int) -> float:
     """
     a = assert_unitary(u, "u")
     d = a.shape[0]
+    q_t, q_0 = as_integer(q_t, "q_t"), as_integer(q_0, "q_0")
     if not (0 <= q_t < d and 0 <= q_0 < d):
         raise ValueError(f"configuration indices ({q_t}, {q_0}) out of range for dimension {d}")
     return float(min(abs(a[q_t, q_0]) ** 2, 1.0))

@@ -46,7 +46,7 @@ def evolve(gamma, p0) -> np.ndarray:
 def is_doubly_stochastic(gamma, tol: float = SUM_TOL) -> bool:
     """True iff ``gamma`` is square with unit row and column sums within ``tol``."""
     a = np.asarray(gamma, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         return False
     if not np.isfinite(a).all() or a.min() < -tol:
         return False

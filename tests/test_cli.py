@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import chshkit
+from chshkit import game
 from chshkit.cli import main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
-from chshkit.game import CHUNK_ROUNDS, NSBox, box_of_strategy, expected_score
+from chshkit.game import CHUNK_ROUNDS, NSBox, as_correlation_box, box_of_strategy, expected_score
 from chshkit.linalg import MAX_DIM
 from chshkit.tsirelson import TSIRELSON_SCORE, canonical_setup
 
@@ -582,3 +583,40 @@ def test_simulate_peak_memory_does_not_grow_with_n(tmp_path):
 
     small, large = peak_kb(2 * CHUNK_ROUNDS), peak_kb(32 * CHUNK_ROUNDS)
     assert large - small <= 16 * 1024, (small, large)
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("score", "0.25,0.25,0.5", "--inputs must be 'p00,p01,p10,p11', got '0.25,0.25,0.5'"),
+        ("score", "0.25,0.25,x,0.5", "--inputs must be four numbers, got '0.25,0.25,x,0.5'"),
+        ("optimize", "2,2,2", "--dims must be 'dim_a,dim_b', got '2,2,2'"),
+        ("optimize", "2,2.5", "--dims must be two integers, got '2,2.5'"),
+    ],
+)
+def test_comma_list_flags_name_their_form(tmp_path, capsys, command, spec, message):
+    if command == "score":
+        argv = ["score", "--config", simulate_config(tmp_path, "ns_box"), "--inputs", spec]
+    else:
+        argv = ["optimize", "--dims", spec, "--seed", "1", "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("config", ["quantum", "mixture", "ns_box"])
+@pytest.mark.parametrize("command", ["score", "audit", "simulate"])
+def test_each_report_validates_its_box_at_most_once(tmp_path, capsys, monkeypatch, command, config):
+    calls = []
+
+    def counting(box, name="box"):
+        calls.append(name)
+        return as_correlation_box(box, name)
+
+    argv = [command, "--config", simulate_config(tmp_path, config)]
+    if command == "simulate":
+        argv += ["--n", "10", "--seed", "1", "--out", str(tmp_path / "r.csv")]
+    monkeypatch.setattr(game, "as_correlation_box", counting)
+    assert main(argv) == 0
+    assert len(calls) <= 1

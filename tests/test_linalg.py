@@ -5,6 +5,7 @@ import pytest
 
 from chshkit.linalg import (
     amplitude_representation,
+    as_dims,
     as_integer,
     as_seed,
     as_state_vector,
@@ -22,6 +23,7 @@ from chshkit.linalg import (
     substream,
     tensor,
 )
+from chshkit.tsirelson import optimize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -136,6 +138,18 @@ def test_dictionary_prob_equals_projector_trace():
 def test_dictionary_prob_rejects_non_unitary():
     with pytest.raises(ValueError):
         dictionary_prob(np.array([[1, 1], [0, 1]], dtype=complex), 0, 0)
+
+
+def test_dictionary_prob_reads_indices_as_integers():
+    u = rotation(math.pi / 8)
+    assert dictionary_prob(u, 1.0, 0) == dictionary_prob(u, 1, 0)
+    assert dictionary_prob(u, 0, True) == dictionary_prob(u, 0, 1)
+    with pytest.raises(ValueError, match=r"^q_t must be an integer, got 1\.5$"):
+        dictionary_prob(u, 1.5, 0)
+    with pytest.raises(ValueError, match=r"^q_0 must be an integer, got 0\.5$"):
+        dictionary_prob(u, 0, 0.5)
+    with pytest.raises(ValueError, match=r"^configuration indices \(0, 2\) out of range for dimension 2$"):
+        dictionary_prob(u, 0, 2)
 
 
 def test_squared_moduli_of_unitary_are_doubly_stochastic():
@@ -344,3 +358,12 @@ def test_projector_and_basis_state_read_integers():
     with pytest.raises(ValueError, match=r"^index 2 out of range for dimension 2$"):
         projector(2, 2)
     assert np.array_equal(projector(3, 1), np.diag(basis_state(3, 1)))
+
+
+@pytest.mark.parametrize("dims", [5, 2.0, None, np.array(4), (2,), (2, 2, 1)], ids=repr)
+def test_as_dims_rejects_what_is_not_a_pair(dims):
+    with pytest.raises(ValueError, match=r"^dims must be two local dimensions, got "):
+        as_dims(dims)
+    with pytest.raises(ValueError, match=r"^dims must be two local dimensions, got "):
+        optimize(dims=dims, restarts=1)
+    assert as_dims([2.0, np.int64(3)]) == (2, 3)

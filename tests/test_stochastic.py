@@ -197,6 +197,12 @@ def test_dilation_rejects_non_doubly_stochastic():
         find_unitary_dilation(g)
 
 
+def test_empty_matrix_is_not_doubly_stochastic():
+    assert is_doubly_stochastic(np.zeros((0, 0))) is False
+    with pytest.raises(ValueError, match="^gamma must be doubly stochastic"):
+        dilation_report(np.zeros((0, 0)))
+
+
 def test_dilation_recovers_unistochastic_inputs():
     rng = np.random.default_rng(19)
     for k, dim in enumerate((3, 3, 4)):
