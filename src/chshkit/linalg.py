@@ -30,6 +30,10 @@ SUM_TOL = 1e-10
 
 _UINT64_MAX = (1 << 64) - 1
 
+#: Most restarts a search runs together as one stack, so its memory is
+#: O(block) whatever the restart count.
+RESTART_BLOCK = 64
+
 
 def substream(seed: int, k: int) -> np.random.Generator:
     """Counter-based generator for substream ``k`` of ``seed``.
@@ -198,9 +202,12 @@ def _as_square(m, name: str) -> np.ndarray:
 def _unitary_deviation(a: np.ndarray) -> np.ndarray:
     """Largest entry of ``|a^dag a - 1|``, for one square matrix or each in a stack.
 
-    Non-finite entries give a NaN or infinite deviation.
+    Non-finite entries, or entries whose products overflow, give a NaN or
+    infinite deviation, without a warning.
     """
-    return np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.conj().swapaxes(-1, -2) @ a
+    return np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))
 
 
 def _as_hermitian(h, name: str) -> np.ndarray:

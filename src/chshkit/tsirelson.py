@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    RESTART_BLOCK as _RESTART_BLOCK,
     as_bits,
     as_dims,
     as_integer,
@@ -259,9 +260,6 @@ def _best_response(m: np.ndarray, outcome_map: tuple[int, ...], diagonal: bool):
 #: Round cap for one seesaw restart; rounds normally stop far earlier, once a
 #: round gains less than ``tol``.
 _MAX_ROUNDS = 1000
-
-#: Restarts run together through the seesaw kernel, so memory is O(block).
-_RESTART_BLOCK = 64
 
 
 def _seesaw_stack(a, b, alice, bob, tol: float, restrict_classical: bool):

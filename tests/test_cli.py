@@ -461,6 +461,19 @@ def test_python_dash_m_entry_point_returns_exit_codes(tmp_path):
     assert bad.stderr.startswith("parse error:")
 
 
+def test_overflowing_unitary_check_prints_only_the_violation(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    config = strategy_config(canonical_setup())
+    config["a0"] = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+    cfg = write_json(tmp_path / "c.json", config)
+    run = subprocess.run([sys.executable, "-m", "chshkit", "score", "--config", cfg],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert run.stderr == "invariant violation: a0 is not unitary within 1e-10 (deviation inf)\n"
+
+
 SIMULATE_CONFIGS = {
     "ns_box": {"kind": "ns_box", "e": 0.7},
     "mixture": {"kind": "mixture", "components": [
@@ -541,6 +554,48 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys, name, n, seed):
     digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
                hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert digests == SIMULATE_DIGESTS[name, n, seed]
+
+
+#: Inputs of the dilate digests: the squared moduli of a 4x4 Haar unitary,
+#: written out so that they do not depend on the platform's QR, and the 3x3
+#: witness, which has no dilation.
+DILATE_INPUTS = {
+    "unistochastic_4": [
+        [0.7961558837119304, 0.05672271541396451, 0.06668649840231963, 0.08043490247178565],
+        [0.03720056652488618, 0.3383640948593722, 0.620410032503849, 0.004025306111893043],
+        [0.14157942299873502, 0.44258270539438926, 0.1855584319146274, 0.23027943969224834],
+        [0.025064126764448545, 0.16233048433227437, 0.12734503717920417, 0.6852603517240732],
+    ],
+    "witness_3": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+}
+
+#: sha256 of ``process --tool dilate`` stdout, computed with the loop that ran
+#: one restart at a time: (input, seed, --restarts or None for the default)
+#: -> digest.  On the 4x4, seed 0 is found by restart 0, and seed 2 by
+#: restart 2 while restart 1, in the same block, still runs; with one
+#: restart seed 2 is not found.  The witness is never found, so every
+#: restart runs: 1, 3, the default 64 and 100 end at different points of
+#: the block schedule.
+DILATE_DIGESTS = {
+    ("unistochastic_4", 0, None): "307cb42dec01d4f58950040cb6a14623919e69e1c64857a69d1870e3f28d6296",
+    ("unistochastic_4", 2, None): "a25c796e827982a0e715a08362d1ba41720bd62488db567439fcbb37a919b66f",
+    ("unistochastic_4", 2, 1): "7632f69bce25e5be1b724b00a29676d3c84dce7b9f8923f3f4d82b4e4f5bcaf0",
+    ("unistochastic_4", 2, 3): "a25c796e827982a0e715a08362d1ba41720bd62488db567439fcbb37a919b66f",
+    ("witness_3", 5, None): "f85e76b8c0ecb699c70b090734e9e2190a79fc3f9a3c0bf09cf8a3a0c41eac7b",
+    ("witness_3", 5, 1): "e76233639b619812fa61fe0a849bf75bf3225db97c86daa69a96012c59192df5",
+    ("witness_3", 5, 3): "ab3c8e329c509f21b08e67fcb6e93faf93916aa5fabd2c253ee15607a0139b7c",
+    ("witness_3", 5, 100): "635107d147330a6178f43ac8c39fb794ec107ecdb072adcb4fb67152f52df1f6",
+}
+
+
+@pytest.mark.parametrize("name, seed, restarts", sorted(DILATE_DIGESTS, key=str))
+def test_dilate_outputs_are_pinned(tmp_path, capsys, name, seed, restarts):
+    cfg = write_json(tmp_path / "g.json", {"gamma": DILATE_INPUTS[name]})
+    argv = ["process", "--tool", "dilate", "--config", cfg, "--seed", str(seed)]
+    if restarts is not None:
+        argv += ["--restarts", str(restarts)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DILATE_DIGESTS[name, seed, restarts]
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
