@@ -5,6 +5,17 @@ probability of ending in the composite configuration ``(q_t, r_t)`` given the
 start ``(q_0, r_0)``.  Influence, independence and non-interaction are read
 off the marginals; the tests are purely probabilistic, with spacelike
 separation left as protocol metadata of the caller.
+
+What ``influences``, ``causally_independent`` and ``non_interacting`` decide
+is one step's configuration-to-configuration influence.  A unitary step
+enters only through ``|U|^2``, so a dependence on the remote setting that is
+carried by phases is invisible to them: ``|HZ|^2 = |H|^2``.  Applying
+``H (x) H`` for three input pairs and ``H (x) HZ`` for the fourth gives the
+PR box from ``(|++> + i|-->) / sqrt(2)``, and every one of those steps passes
+``non_interacting``.  What holds a ``QuantumSetup`` to the Tsirelson bound
+is its structure: Alice's unitary is indexed by her input only and Bob's by
+his.  ``audit`` reports that structure as ``factorization=pass``; it is not
+computed.
 """
 
 from __future__ import annotations

@@ -16,11 +16,13 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .causality import _remote_spread
+from .causality import INFLUENCE_TOL, _remote_spread
 from .linalg import as_bits, as_integer, as_probabilities, as_seed, as_tolerance, substream
 from .tsirelson import QuantumSetup
 
-NO_SIGNALING_TOL = 1e-9
+#: Default no-signaling tolerance: the influence tolerance, as both read the
+#: same remote-spread kernel.
+NO_SIGNALING_TOL = INFLUENCE_TOL
 
 #: Rounds per Monte Carlo chunk.  Chunk ``c`` draws from a substream keyed by
 #: ``(seed, c)``, so its rounds depend only on the seed, never on ``n``.

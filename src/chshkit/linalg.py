@@ -9,6 +9,7 @@ double precision.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -82,12 +83,17 @@ def as_bits(values, n: int, name: str) -> tuple[int, ...]:
 
 
 def as_tolerance(tol) -> float:
-    """Validate a search or acceptance tolerance: finite and positive.
+    """Validate a search or acceptance tolerance: a finite, positive real number.
 
     A NaN tolerance would make every ``> tol`` test false, so a search would
-    never stop and an acceptance test would accept anything.
+    never stop and an acceptance test would accept anything.  A value that is
+    not a real number (``"1e-3"``, ``None``, a complex number, a list) is
+    rejected, not converted.
     """
-    value = float(tol)
+    try:
+        value = float(tol) if isinstance(tol, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     return value

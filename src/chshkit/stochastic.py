@@ -83,6 +83,15 @@ def divide_report(gamma_total, gamma_first, tol: float = DIVISION_TOL) -> Divisi
     max-entry error at most ``tol``.  When several quotients exist, whichever
     the least-squares solve lands on is returned (the output is not
     canonical).
+
+    No quotient (the CLI's ``not_divisible``) is a proof, up to ``tol``,
+    only for a square, invertible ``gamma_first``: the quotient is then
+    unique and the solve finds it.  Otherwise only the minimum-norm
+    candidate is tried, so no quotient is a search failure, like dilate's
+    ``not_found``.  For ``gamma_first`` =
+    ``[[1/2, 0], [1/2, 1/2], [0, 1/2]]`` the stochastic
+    ``[[1, 1/2, 0], [0, 1/2, 1]]`` divides ``[[3/4, 1/4], [1/4, 3/4]]``,
+    but the candidate has entries of -1/6.
     """
     tol = as_tolerance(tol)
     gt = as_stochastic_matrix(gamma_total, "gamma_total")

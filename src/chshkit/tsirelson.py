@@ -173,15 +173,23 @@ def outcome_observable(side: str, setting: int, outcome: int, setup: QuantumSetu
     return (np.eye(s.shape[0]) + (1 - 2 * outcome) * s) / 2.0
 
 
-def _chsh_of_local(sa0, sa1, sb0, sb1) -> np.ndarray:
-    return _kron(sa0, sb0 + sb1) + _kron(sa1, sb0 - sb1)
+def _sum_difference(s: np.ndarray) -> np.ndarray:
+    """``(s0 + s1, s0 - s1)`` of a side's two settings, on the settings axis of ``(..., 2, d, d)``."""
+    s0, s1 = s[..., 0, :, :], s[..., 1, :, :]
+    return np.stack((s0 + s1, s0 - s1), axis=-3)
+
+
+def _chsh(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """The CHSH operator of settings-stacked local observables ``(..., 2, d, d)``."""
+    terms = _kron(sa, _sum_difference(sb))
+    return terms[..., 0, :, :] + terms[..., 1, :, :]
 
 
 def chsh_operator(setup: QuantumSetup) -> np.ndarray:
     """The CHSH operator ``A0 (x) (B0 + B1) + A1 (x) (B0 - B1)`` of the four local observables."""
-    sa0, sa1 = (_local_dichotomic(u, setup.alice_outcome) for u in (setup.a0, setup.a1))
-    sb0, sb1 = (_local_dichotomic(u, setup.bob_outcome) for u in (setup.b0, setup.b1))
-    return _chsh_of_local(sa0, sa1, sb0, sb1)
+    sa = _local_dichotomic(np.stack((setup.a0, setup.a1)), setup.alice_outcome)
+    sb = _local_dichotomic(np.stack((setup.b0, setup.b1)), setup.bob_outcome)
+    return _chsh(sa, sb)
 
 
 def _quarter_expectation(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -285,25 +293,15 @@ def _seesaw_stack(a, b, alice, bob, tol: float, restrict_classical: bool):
     sa = _local_dichotomic(a, alice)
     for round_ in range(1, _MAX_ROUNDS + 1):
         sb = _local_dichotomic(b[active], bob)
-        sb0, sb1 = sb[:, 0], sb[:, 1]
         if not restrict_classical:
-            state[active] = np.linalg.eigh(_chsh_of_local(sa[:, 0], sa[:, 1], sb0, sb1))[1][..., -1]
-        psi = state[active].reshape(-1, da, db)
-        a_new = np.stack(
-            [
-                _best_response(psi @ _T(c) @ _T(psi.conj()), alice, restrict_classical)[0]
-                for c in (sb0 + sb1, sb0 - sb1)
-            ],
-            axis=1,
-        )
+            state[active] = np.linalg.eigh(_chsh(sa, sb))[1][..., -1]
+        psi = state[active].reshape(-1, 1, da, db)  # broadcast over the settings axis
+        psi_h = _T(psi.conj())
+        a_new = _best_response(psi @ _T(_sum_difference(sb)) @ psi_h, alice, restrict_classical)[0]
         sa = _local_dichotomic(a_new, alice)
-        responses = [
-            _best_response(_T(_T(psi.conj()) @ d @ psi), bob, restrict_classical)
-            for d in (sa[:, 0] + sa[:, 1], sa[:, 0] - sa[:, 1])
-        ]
-        a[active] = a_new
-        b[active] = np.stack([u for u, _ in responses], axis=1)
-        score = (responses[0][1] + responses[1][1]) / 4.0
+        b_new, maxima = _best_response(_T(psi_h @ _sum_difference(sa) @ psi), bob, restrict_classical)
+        a[active], b[active] = a_new, b_new
+        score = (maxima[:, 0] + maxima[:, 1]) / 4.0
         going = ~(score - best < tol)
         rounds[active[~going]] = round_
         active, sa, best = active[going], sa[going], score[going]
@@ -353,14 +351,15 @@ def optimize(
     becomes the top eigenvector of the CHSH operator; each of Alice's
     observables becomes the best response to her partial trace of the state
     against Bob's combination ``B0 +- B1``; Bob's follow the same way against
-    ``A0 +- A1``.  Rounds stop once one gains less than ``tol``.  Restarts
-    run in blocks of ``_RESTART_BLOCK`` (64) as stacked arrays through one
-    seesaw kernel, so memory does not grow with ``restarts``; each restart's
-    result still depends only on ``(seed, k)``.  Ties across restarts break
-    toward the lowest restart index, so the result does not depend on how
-    restarts are scheduled.  The returned score is re-evaluated through the
-    operator-expectation path on the built setup.  Every start and every
-    result gets the checks a ``QuantumSetup`` makes; a failure raises their
+    ``A0 +- A1``.  Each side's two responses come from one stacked
+    eigendecomposition.  Rounds stop once one gains less than ``tol``.
+    Restarts run in blocks of ``_RESTART_BLOCK`` (64) as stacked arrays
+    through one seesaw kernel, so memory does not grow with ``restarts``;
+    each restart's result still depends only on ``(seed, k)``.  Ties across
+    restarts break toward the lowest restart index, so the result does not
+    depend on how restarts are scheduled.  The returned score is the chosen
+    restart's score as its block computed it.  Every start and every result
+    gets the checks a ``QuantumSetup`` makes; a failure raises their
     ``ValueError``, naming the field and the restart's index within its
     block.
 
@@ -390,16 +389,13 @@ def optimize(
         state, a, b, rounds = _seesaw_stack(a, b, alice, bob, tol, restrict_classical)
         _assert_restarts(state, a, b)
         sa, sb = _local_dichotomic(a, alice), _local_dichotomic(b, bob)
-        scores = _quarter_expectation(
-            _chsh_of_local(sa[:, 0], sa[:, 1], sb[:, 0], sb[:, 1]), state
-        ).tolist()
+        scores = _quarter_expectation(_chsh(sa, sb), state).tolist()
         for k, score in enumerate(scores):
             if score > best_score:
                 best, best_score = [m.copy() for m in (state[k], *a[k], *b[k])], score
         restart_scores += scores
         restart_rounds += rounds.tolist()
-    setup = QuantumSetup(*best, alice, bob)
-    return OptimizeResult(setup, score_of_setup(setup), restart_scores, restart_rounds)
+    return OptimizeResult(QuantumSetup(*best, alice, bob), best_score, restart_scores, restart_rounds)
 
 
 def canonical_setup() -> QuantumSetup:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from chshkit.causality import (
 )
 from chshkit.game import as_correlation_box
 from chshkit.linalg import haar_unitary, tensor
-from chshkit.stochastic import unistochastic_of
+from chshkit.stochastic import divide, qcor, unistochastic_of
 
 
 def random_stochastic(dim, rng):
@@ -144,6 +146,11 @@ def test_joint_from_unitary_validates_inputs():
         joint_from_unitary(np.eye(4), (2, 3))
     with pytest.raises(ValueError):
         joint_from_unitary(np.ones((4, 4)), (2, 2))
+    with pytest.raises(ValueError, match=r"^dims must be positive, got \(0, 4\)$"):
+        joint_from_unitary(np.eye(4), (0, 4))
+    for gamma_q, gamma_r in ((np.full((3, 2), 1.0 / 3.0), np.eye(2)), (np.eye(2), np.full((2, 1), 0.5))):
+        with pytest.raises(ValueError, match="^marginal dynamics must be square to form a joint"):
+            product_joint(gamma_q, gamma_r)
 
 
 def test_joint_from_unitary_is_always_normalized():
@@ -241,3 +248,49 @@ def test_signaling_witness_validates_its_box_once(monkeypatch):
     monkeypatch.setattr(game, "as_correlation_box", counting)
     assert game.signaling_witness(game.ns_box(0.5)) is None
     assert calls == ["box"]
+
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+PAULI_Z = np.diag([1.0, -1.0])
+
+
+@pytest.fixture
+def pr_box_process():
+    """A process whose box is the PR box although every one-step test passes.
+
+    The state is ``(|++> + i|-->) / sqrt(2)``.  Input pair ``(x, y)`` applies
+    ``U_xy = H (x) H``, except ``U_11 = H (x) HZ``: Bob's factor depends on
+    Alice's input, through a phase that ``|U|^2`` does not show.
+    """
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)
+    state = (np.kron(plus, plus) + 1j * np.kron(minus, minus)) / np.sqrt(2.0)
+    unitaries = {xy: tensor(HADAMARD, HADAMARD) for xy in product((0, 1), repeat=2)}
+    unitaries[1, 1] = tensor(HADAMARD, HADAMARD @ PAULI_Z)
+    box = np.zeros((2, 2, 2, 2))
+    for (x, y), u in unitaries.items():
+        box[:, :, x, y] = (np.abs(u @ state) ** 2).reshape(2, 2)
+    return box, unitaries
+
+
+def test_pr_box_process_gives_the_pr_box_without_signaling(pr_box_process):
+    box, _ = pr_box_process
+    assert np.max(np.abs(box - game.ns_box(1.0))) <= 1e-15
+    assert game.signaling_witness(box) is None
+
+
+def test_pr_box_process_passes_every_one_step_test(pr_box_process):
+    _, unitaries = pr_box_process
+    for u in unitaries.values():
+        joint = joint_from_unitary(u, (2, 2))
+        assert non_interacting(joint)
+        assert causally_independent(joint)
+        assert not influences(joint, "r_on_q")
+        assert not influences(joint, "q_on_r")
+
+
+def test_pr_box_process_carries_the_remote_input_in_a_phase(pr_box_process):
+    _, unitaries = pr_box_process
+    u_11, phase = unitaries[1, 1], tensor(np.eye(2), PAULI_Z)
+    assert np.array_equal(np.abs(HADAMARD @ PAULI_Z) ** 2, np.abs(HADAMARD) ** 2)
+    assert not qcor(u_11, phase).any()
+    assert divide(np.abs(u_11) ** 2, np.abs(phase) ** 2) is not None

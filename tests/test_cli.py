@@ -10,7 +10,7 @@ import pytest
 
 import chshkit
 from chshkit import game
-from chshkit.cli import main
+from chshkit.cli import main, main_entry
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import CHUNK_ROUNDS, NSBox, as_correlation_box, box_of_strategy, expected_score
 from chshkit.linalg import MAX_DIM
@@ -55,6 +55,18 @@ def test_score_out_of_range_parameter_is_invariant_violation(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", {"kind": "ns_box", "e": 1.5})
     assert main(["score", "--config", cfg]) == 3
     assert "[-1, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (1.5, 3)], ids=["canonical", "non_unitary"])
+def test_console_script_entry_exits_with_main_code(tmp_path, monkeypatch, capsys, scale, code):
+    payload = strategy_config(canonical_setup())
+    payload["a0"] = (scale * np.array(payload["a0"])).tolist()
+    cfg = write_json(tmp_path / "q.json", payload)
+    monkeypatch.setattr(sys, "argv", ["chshkit", "score", "--config", cfg])
+    with pytest.raises(SystemExit) as exc:
+        main_entry()
+    assert exc.value.code == code
+    assert ("exact_score=" in capsys.readouterr().out) == (code == 0)
 
 
 def test_score_missing_field_is_parse_error(tmp_path, capsys):
@@ -339,9 +351,14 @@ def _box_payload(first_row):
         (["score"], _box_payload(["0.375", 0.375])),
         (["score"], _box_payload([True, 0.375])),
         (["score"], _box_payload([0.375])),
+        (["score"], {"kind": "mixture", "components": []}),
+        (["score"], {"kind": "mixture", "components": [[0.5, 0, 0]]}),
+        (["score"], _quantum_payload(dims=[2, 2, 1])),
+        (["score"], _quantum_payload(dims=[4, 1])),
     ],
     ids=["ns_box_e", "real_entry", "complex_pair", "complex_entry", "box_table",
-         "dims_null", "dims_float", "outcome_null", "box_string", "box_bool", "box_ragged"],
+         "dims_null", "dims_float", "outcome_null", "box_string", "box_bool", "box_ragged",
+         "mixture_empty", "mixture_component_list", "dims_three", "dims_declared_mismatch"],
 )
 def test_malformed_config_values_are_parse_errors(tmp_path, capsys, argv_head, payload):
     cfg = write_json(tmp_path / "c.json", payload)

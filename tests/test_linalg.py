@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chshkit.linalg import (
+    MAX_DIM,
     amplitude_representation,
     as_dims,
     as_integer,
     as_seed,
+    as_tolerance,
     as_state_vector,
     as_state_vectors,
     assert_unitaries,
@@ -201,6 +204,57 @@ def test_amplitude_representation_roundtrips_probabilities():
 def test_amplitude_representation_shape_mismatch():
     with pytest.raises(ValueError):
         amplitude_representation(np.eye(2), np.zeros((3, 3)))
+
+
+NOT_FINITE = "^gamma and phases must be finite$"
+NOT_PROBABILITIES = r"^gamma entries must be probabilities in \[0, 1\]$"
+
+
+@pytest.mark.parametrize(
+    "gamma, phases, message",
+    [(np.eye(2), np.full((2, 2), np.inf), NOT_FINITE),
+     (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_FINITE),
+     (np.array([[1.5, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_PROBABILITIES),
+     (np.array([[-0.1, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_PROBABILITIES)],
+)
+def test_amplitude_representation_rejects_non_finite_and_out_of_range_input(gamma, phases, message):
+    with pytest.raises(ValueError, match=message):
+        amplitude_representation(gamma, phases)
+
+
+TOO_BIG = MAX_DIM + 1
+TENSOR_CAP = rf"^tensor product would exceed the dimension cap {MAX_DIM}$"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: assert_unitary(np.eye(TOO_BIG)),
+      rf"^matrix is {TOO_BIG}x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$"),
+     (lambda: assert_unitaries(np.ones((2, 1, TOO_BIG)), "u"),
+      rf"^u is 1x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$"),
+     (lambda: as_state_vectors(np.ones((3, TOO_BIG)), "psi"),
+      rf"^psi has dimension {TOO_BIG}; above {MAX_DIM} is not supported$"),
+     (lambda: tensor(np.eye(8), np.eye(9)), TENSOR_CAP),
+     (lambda: tensor(np.ones((1, 8)), np.ones((1, 9))), TENSOR_CAP),
+     (lambda: projector(TOO_BIG, 0), rf"^dim must be in \[1, {MAX_DIM}\], got {TOO_BIG}$"),
+     (lambda: projector(0, 0), rf"^dim must be in \[1, {MAX_DIM}\], got 0$")],
+    ids=["matrix", "matrix_stack", "state_stack", "tensor_rows", "tensor_columns",
+         "projector", "projector_0"],
+)
+def test_dimension_caps(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("tol", ["1e-3", b"1e-3", None, 1e-3 + 0j, [1e-3], math.nan, -1, 0, 10**400])
+def test_as_tolerance_takes_only_finite_positive_reals(tol):
+    with pytest.raises(ValueError, match=r"^tol must be finite and positive, got "):
+        as_tolerance(tol)
+
+
+def test_as_tolerance_keeps_real_numbers():
+    for tol in (1e-3, 2, np.float32(0.5), np.float64(1e-9), np.int64(3), Fraction(1, 4)):
+        assert as_tolerance(tol) == float(tol) and type(as_tolerance(tol)) is float
 
 
 def test_dephase_leaves_diagonal_input_alone():

@@ -158,6 +158,21 @@ def test_restart_rounds_report_the_round_each_restart_froze_at(monkeypatch):
     assert optimize((2, 3), restarts=12, seed=4).restart_rounds == [1] * 12
 
 
+def test_each_side_takes_one_best_response_call_per_round(monkeypatch):
+    calls = []
+    best_response = tsirelson._best_response
+
+    def counted(m, outcome_map, diagonal):
+        calls.append(m.shape)
+        return best_response(m, outcome_map, diagonal)
+
+    monkeypatch.setattr(tsirelson, "_best_response", counted)
+    monkeypatch.setattr(tsirelson, "_MAX_ROUNDS", 1)
+    optimize((2, 2), restarts=3)
+    # Alice's two settings in one stack, then Bob's: (restarts, settings, d, d).
+    assert calls == [(3, 2, 2, 2), (3, 2, 2, 2)]
+
+
 def per_setup_error(state, a, b, index):
     """The error ``QuantumSetup`` raises, with the failing field tagged by ``index``."""
     with pytest.raises(ValueError) as excinfo:

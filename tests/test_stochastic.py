@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshkit.linalg import MAX_DIM, haar_unitary, rotation
 from chshkit.stochastic import (
@@ -97,6 +99,43 @@ def test_divide_rectangular_legs():
     assert got is not None
     assert got.shape == (3, 2)
     assert np.max(np.abs(got @ first - total)) <= DIVISION_TOL
+
+
+def test_not_divisible_is_no_proof_for_a_rectangular_first_leg():
+    first = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+    quotient = np.array([[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])  # stochastic
+    total = quotient @ first
+    assert np.array_equal(total, [[0.75, 0.25], [0.25, 0.75]])
+    # The minimum-norm candidate is the only one tried, and it is not stochastic.
+    candidate = np.linalg.lstsq(first.T, total.T, rcond=None)[0].T
+    assert candidate.min() == pytest.approx(-1.0 / 6.0, abs=1e-12)
+    report = divide_report(total, first)
+    assert report.quotient is None
+    assert report.residual <= 1e-15
+
+
+@st.composite
+def invertible_divisions(draw):
+    """A square first leg with eigenvalues at least 0.2 from zero, and a total
+    that is either a stochastic quotient times it or any stochastic matrix."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    mix = draw(st.floats(0.0, 0.4))
+    first = (1.0 - mix) * np.eye(dim) + mix * random_stochastic(dim, rng)
+    total = random_stochastic(dim, rng)
+    return (total @ first if draw(st.booleans()) else total), first
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=invertible_divisions())
+def test_not_divisible_is_a_proof_for_an_invertible_first_leg(case):
+    total, first = case
+    exact = total @ np.linalg.inv(first)  # the only matrix that can be the quotient
+    report = divide_report(total, first)
+    if report.quotient is None:
+        assert exact.min() < 0.0
+    else:
+        assert np.max(np.abs(report.quotient - exact)) <= 1e-12
 
 
 def test_divide_dimension_mismatch():
@@ -286,7 +325,7 @@ def test_qcor_rejects_bad_inputs():
         qcor(UNIFORMIZER, np.eye(2))
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, "1e-3", None])
 def test_division_and_dilation_reject_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol"):
         divide_report(np.eye(2), UNIFORMIZER, tol=tol)
@@ -311,6 +350,17 @@ def test_dilation_rejects_a_non_integral_seed():
         dilation_report(UNIFORMIZER, seed=0.5)
     a, b = dilation_report(UNIFORMIZER, seed=3.0), dilation_report(UNIFORMIZER, seed=3)
     assert np.array_equal(a.unitary, b.unitary) and a.residual == b.residual
+
+
+@pytest.mark.parametrize(
+    "gamma, kwargs, message",
+    [(np.full((2, 3), 0.5), {}, r"^gamma must be square, got shape \(2, 3\)$"),
+     (np.full(4, 0.25), {}, r"^gamma must be square, got shape \(4,\)$"),
+     (UNIFORMIZER, {"max_restarts": 0}, "^max_restarts must be positive$")],
+)
+def test_dilation_rejects_a_non_square_gamma_and_no_restarts(gamma, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        dilation_report(gamma, **kwargs)
 
 
 def test_dilation_reads_max_restarts_as_an_integer():

@@ -37,6 +37,27 @@ def test_setup_validation():
     with pytest.raises(ValueError):
         QuantumSetup(basis_state(4, 0), np.eye(2), np.eye(2), np.eye(2), np.eye(2),
                      alice_outcome=(0, 2))
+    with pytest.raises(ValueError, match=r"^a0 and a1 must share a dimension, got \(2, 2\) and \(3, 3"):
+        QuantumSetup(basis_state(4, 0), np.eye(2), np.eye(3), np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match=r"^b0 and b1 must share a dimension, got \(2, 2\) and \(1, 1"):
+        QuantumSetup(basis_state(4, 0), np.eye(2), np.eye(2), np.eye(2), np.eye(1))
+    with pytest.raises(ValueError, match=r"^joint dimension 20 exceeds the supported cap 16$"):
+        QuantumSetup(basis_state(20, 0), np.eye(4), np.eye(4), np.eye(5), np.eye(5))
+    with pytest.raises(ValueError, match=r"^state dimension 2 does not match joint dimension 4$"):
+        QuantumSetup(basis_state(2, 0), np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda s: dichotomic("c", 0, s), r"^side must be 'a' or 'b', got 'c'$"),
+     (lambda s: dichotomic("a", 2, s), r"^setting must be 0 or 1, got 2$"),
+     (lambda s: outcome_observable("b", 0, 2, s), r"^outcome must be 0 or 1, got 2$"),
+     (lambda s: outcome_observable("b", -1, 0, s), r"^setting must be 0 or 1, got -1$"),
+     (lambda s: outcome_observable("", 0, 1, s), r"^side must be 'a' or 'b', got ''$")],
+)
+def test_observables_reject_a_bad_side_setting_or_outcome(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(identity_setup())
 
 
 def test_default_outcome_maps_alternate():
@@ -258,7 +279,7 @@ def test_optimize_keeps_default_outcome_maps():
         assert setup.bob_outcome == tuple(k % 2 for k in range(dims[1]))
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9, "1e-3", None])
 def test_optimize_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol"):
         optimize((2, 2), restarts=1, tol=tol)
@@ -323,7 +344,9 @@ def test_optimize_reads_restarts_as_an_integer():
     [((2.5, 2.0), (0, 1), r"^dims\[0\] must be an integer"),
      ((2, 2), (0.7, 1), r"^initial\[0\] must be an integer"),
      ((2, 2), (0, 1.9), r"^initial\[1\] must be an integer"),
-     ((2, 2, 1), (0, 0), "^dims must be two local dimensions")],
+     ((2, 2, 1), (0, 0), "^dims must be two local dimensions"),
+     ((2, 3), (0, 0), r"^dims \(2, 3\) do not match preparation dimension 4$"),
+     ((4, 1), (0, 1), r"^initial configuration \(0, 1\) out of range for dims \(4, 1\)$")],
 )
 def test_preparation_unitary_rejects_non_integral_dims_and_initial(dims, initial, message):
     with pytest.raises(ValueError, match=message):

@@ -143,7 +143,7 @@ TOLERANT_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9, "1e-3", None])
 @pytest.mark.parametrize("check", sorted(TOLERANT_CHECKS))
 def test_checks_reject_bad_tolerance(check, tol):
     with pytest.raises(ValueError, match="tol"):
