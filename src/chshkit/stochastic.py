@@ -145,16 +145,18 @@ def dilation_report(
     moduli ``sqrt(gamma)`` and the set of unitary matrices (via the polar
     factor of an SVD), restarted from fresh random phases.  Restart ``k``
     draws its phases from a counter-based substream keyed by ``(seed, k)``.
-    A restart is abandoned early when its residual stops improving, since
-    such a run cannot reach ``tol`` within the iteration budget anyway.
 
-    Restarts run in lock-step blocks of 1, 2, 4, ... up to ``RESTART_BLOCK``
-    (64), each block as one stack through one SVD per iteration.  The result
-    is the lowest restart that finds, returned only once every lower restart
-    has finished, so the report is bit-identical to running the restarts one
-    at a time and depends only on ``(seed, restart)``.  A block holds a few
-    stacked arrays of ``64 * d * d`` complex entries, 4 MB each at
-    ``MAX_DIM``.
+    One loop holds the blocks, the find rule and the stall rule.  Restarts
+    run in lock-step blocks of 1, 2, 4, ... up to ``RESTART_BLOCK`` (64),
+    each block as one stack through one SVD per iteration.  Every 100
+    iterations a restart stops if its best residual is above 0.9 of its
+    value 100 iterations earlier: it cannot reach ``tol`` in the budget.
+    Once a restart finds, every restart above it leaves the block, and the
+    lowest finder is returned only once no lower restart runs, so the report
+    is bit-identical to running the restarts one at a time and depends only
+    on ``(seed, restart)``.  The per-restart best and checkpoint residuals
+    are Python floats in lists.  A block holds a few stacked arrays of
+    ``64 * d * d`` complex entries, 4 MB each at ``MAX_DIM``.
 
     An empty result is a search failure, never a proof that no dilation
     exists.
@@ -175,59 +177,39 @@ def dilation_report(
         raise ValueError("max_restarts must be positive")
     g = g[None]  # a leading stack axis, so that a block of one broadcasts nothing
     roots = np.sqrt(np.clip(g, 0.0, None))
-    best_overall = np.inf
+    stalled_best: list[float] = []  # every restart that ran out without finding
     lo = 0
     while lo < max_restarts:
         hi = min(2 * lo + 1, lo + RESTART_BLOCK, max_restarts)
-        report = _dilation_block(g, roots, tol, seed, lo, hi)
-        if report.unitary is not None:
-            return report
-        best_overall = min(best_overall, report.residual)
+        draws = np.stack([substream(seed, k).random(g.shape[1:]) for k in range(lo, hi)])
+        m = roots * np.exp(2j * np.pi * draws)
+        best = checkpoint = [np.inf] * (hi - lo)
+        found = None
+        for iteration in range(_MAX_ITERATIONS):
+            w, _, vh = np.linalg.svd(m)
+            u = w @ vh
+            residual = np.abs(np.abs(u) ** 2 - g).max(axis=(1, 2)).tolist()
+            best = [min(b, r) for b, r in zip(best, residual)]
+            if min(best) <= tol:  # no running restart had reached tol before
+                first = next(k for k, r in enumerate(residual) if r <= tol)
+                found = DilationReport(u[first].copy(), residual[first])
+                if first == 0:  # no lower restart still runs
+                    return found
+                u, best, checkpoint = u[:first], best[:first], checkpoint[:first]
+            if iteration % 100 == 99:
+                stalled = [b > 0.9 * c for b, c in zip(best, checkpoint)]  # cannot reach tol in the budget
+                stalled_best += [b for b, s in zip(best, stalled) if s]
+                best = [b for b, s in zip(best, stalled) if not s]
+                if not best:
+                    break
+                u = u[[not s for s in stalled]]
+                checkpoint = best
+            m = roots * np.exp(1j * np.arctan2(u.imag, u.real))
+        if found is not None:
+            return found
+        stalled_best += best  # still running at the iteration cap
         lo = hi
-    return DilationReport(None, best_overall)
-
-
-def _dilation_block(g, roots, tol: float, seed: int, lo: int, hi: int) -> DilationReport:
-    """Run restarts ``lo`` to ``hi - 1`` in lock step: the lowest finder, or
-    no unitary and the best residual of the block.
-
-    A restart leaves the stack when it stalls; once one finds, every restart
-    above it leaves too, and the block goes on until none below it runs.
-    """
-    draws = np.empty((hi - lo, *g.shape[1:]))
-    for row, k in zip(draws, range(lo, hi)):
-        substream(seed, k).random(out=row)
-    m = roots * np.exp(2j * np.pi * draws)
-    best = checkpoint = [np.inf] * (hi - lo)
-    stalled_best: list[float] = []
-    found = None
-    for iteration in range(_MAX_ITERATIONS):
-        w, _, vh = np.linalg.svd(m)
-        u = w @ vh
-        error = np.abs(u)
-        np.square(error, out=error)
-        np.subtract(error, g, out=error)
-        np.abs(error, out=error)
-        residual = error.max(axis=(1, 2)).tolist()
-        best = [min(b, r) for b, r in zip(best, residual)]
-        if min(best) <= tol:  # no running restart had reached tol before
-            first = next(k for k, r in enumerate(residual) if r <= tol)
-            found = DilationReport(u[first].copy(), residual[first])
-            if first == 0:  # no lower restart still runs
-                return found
-            u, best, checkpoint = u[:first], best[:first], checkpoint[:first]
-        if iteration % 100 == 99:
-            stalled = [b > 0.9 * c for b, c in zip(best, checkpoint)]  # cannot reach tol in the budget
-            stalled_best += [b for b, s in zip(best, stalled) if s]
-            best = [b for b, s in zip(best, stalled) if not s]
-            if not best:
-                break
-            u = u[[not s for s in stalled]]
-            checkpoint = best
-        m = roots * np.exp(1j * np.arctan2(u.imag, u.real))
-    if found is not None:
-        return found
-    return DilationReport(None, min(stalled_best + best))
+    return DilationReport(None, min(stalled_best))
 
 
 def find_unitary_dilation(

@@ -9,9 +9,12 @@ same floating-point operation as the oracle's, so unitaries and residuals
 must agree exactly, not within a tolerance.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from chshkit import stochastic
 from chshkit.linalg import RESTART_BLOCK, haar_unitary, substream
 from chshkit.stochastic import _MAX_ITERATIONS, DIVISION_TOL, dilation_report
 
@@ -114,3 +117,20 @@ def test_a_higher_restart_that_finds_first_waits_for_the_lower_ones(seed, finder
     for restarts in (3, RESTART_BLOCK):
         report = dilation_report(GAMMA_4X4, max_restarts=restarts, seed=seed)
         assert_same_report(report, oracle_report(outcomes[: finder + 1]))
+
+
+@pytest.mark.parametrize("restarts", (1, 2, 3, 7, 10))
+@pytest.mark.parametrize(
+    "gamma",
+    [WITNESS_3X3, np.abs(haar_unitary(6, np.random.default_rng(6))) ** 2],
+    ids=["witness", "haar_6"],
+)
+def test_restarts_still_running_at_the_iteration_cap_count_in_the_residual(gamma, restarts, monkeypatch):
+    # The first stall check that can stop a restart is at iteration 199, so a
+    # cap of 150 ends every restart that does not find on the cap.
+    monkeypatch.setattr(stochastic, "_MAX_ITERATIONS", 150)
+    monkeypatch.setattr(sys.modules[__name__], "_MAX_ITERATIONS", 150)
+    outcomes = oracle_restarts(gamma, DIVISION_TOL, 7, restarts)
+    assert all(iterations == 150 for u, _, iterations in outcomes if u is None)
+    report = dilation_report(gamma, max_restarts=restarts, seed=7)
+    assert_same_report(report, oracle_report(outcomes))

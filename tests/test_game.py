@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chshkit.cli import _ROW_TAILS
+from chshkit.configio import strategy_config
 from chshkit.game import (
     _SIGN,
     CHUNK_ROUNDS,
@@ -174,6 +175,14 @@ def test_mixture_weights_validated():
         SharedRandomness(((0.5, d),))
     with pytest.raises(ValueError):
         SharedRandomness(((-0.5, d), (1.5, d)))
+    with pytest.raises(ValueError, match="^mixture components must be Deterministic strategies$"):
+        SharedRandomness(((1.0, NSBox(0.5)),))
+
+
+@pytest.mark.parametrize("convert", [box_of_strategy, strategy_config])
+def test_a_non_strategy_is_a_type_error(convert):
+    with pytest.raises(TypeError, match=r"^not a strategy: 'nope'$"):
+        convert("nope")
 
 
 def test_canonical_quantum_strategy_wins_at_the_ceiling_every_setting():

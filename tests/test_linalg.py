@@ -361,6 +361,10 @@ def test_stacked_checks_name_the_first_failing_item():
     psi[3, 1] = np.inf
     with pytest.raises(ValueError, match=r"^psi\[3\] contains non-finite entries$"):
         as_state_vectors(psi, "psi")
+    with pytest.raises(ValueError, match=r"^psi must be a 1-d vector or a stack of them, got shape \(3, 0\)$"):
+        as_state_vectors(np.zeros((3, 0)), "psi")
+    with pytest.raises(ValueError, match=r"^u must be a 2-d matrix or a stack of them, got shape \(3,\)$"):
+        assert_unitaries(np.ones(3), "u")
 
 
 def test_single_item_checks_keep_their_messages_and_reject_stacks():
@@ -381,6 +385,8 @@ def test_single_item_checks_keep_their_messages_and_reject_stacks():
     ]:
         with pytest.raises(ValueError, match=msg):
             as_state_vector(bad, "v")
+    with pytest.raises(ValueError, match=r"^a must be a 2-d matrix, got shape \(3,\)$"):
+        tensor(np.ones(3), np.eye(2))
 
 
 @pytest.mark.parametrize("seed", [1.9, 0.5, "12", math.inf, -math.inf, math.nan, 2 + 0j, None])

@@ -114,6 +114,20 @@ def test_not_divisible_is_no_proof_for_a_rectangular_first_leg():
     assert report.residual <= 1e-15
 
 
+def test_not_divisible_is_no_proof_for_a_singular_first_leg():
+    first = np.array([[1.0, 1.0], [0.0, 0.0]])
+    quotient = np.array([[0.3, 0.5], [0.7, 0.5]])  # stochastic
+    total = quotient @ first
+    assert np.array_equal(total, [[0.3, 0.3], [0.7, 0.7]])
+    # The minimum-norm candidate reconstructs the total, but its second
+    # column sums to 0, so it is rejected before renormalization.
+    candidate = np.linalg.lstsq(first.T, total.T, rcond=None)[0].T
+    np.testing.assert_allclose(candidate, [[0.3, 0.0], [0.7, 0.0]], atol=1e-15)
+    report = divide_report(total, first)
+    assert report.quotient is None
+    assert report.residual <= 1e-15
+
+
 @st.composite
 def invertible_divisions(draw):
     """A square first leg with eigenvalues at least 0.2 from zero, and a total
@@ -356,7 +370,9 @@ def test_dilation_rejects_a_non_integral_seed():
     "gamma, kwargs, message",
     [(np.full((2, 3), 0.5), {}, r"^gamma must be square, got shape \(2, 3\)$"),
      (np.full(4, 0.25), {}, r"^gamma must be square, got shape \(4,\)$"),
-     (UNIFORMIZER, {"max_restarts": 0}, "^max_restarts must be positive$")],
+     (UNIFORMIZER, {"max_restarts": 0}, "^max_restarts must be positive$"),
+     (np.array([[np.nan, 0.5], [0.5, 0.5]]), {}, "^gamma must be doubly stochastic: "),
+     (np.array([[1.5, -0.5], [-0.5, 1.5]]), {}, "^gamma must be doubly stochastic: ")],
 )
 def test_dilation_rejects_a_non_square_gamma_and_no_restarts(gamma, kwargs, message):
     with pytest.raises(ValueError, match=message):
