@@ -349,9 +349,10 @@ def _simulate_chunk(cum: np.ndarray, seed: int, chunk_index: int, count: int):
     """
     u = substream(seed, chunk_index).random((2, count))
     setting = np.minimum((u[0] * 4.0).astype(np.int8), 3)
+    index = setting.astype(np.intp)
     outcome = np.zeros(count, dtype=np.int8)
     for column in range(3):
-        outcome += np.take(cum[:, column], setting) < u[1]
+        outcome += np.take(cum[:, column], index) < u[1]
     return setting >> 1, setting & 1, outcome >> 1, outcome & 1
 
 

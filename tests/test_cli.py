@@ -10,9 +10,16 @@ import pytest
 
 import chshkit
 from chshkit import game
-from chshkit.cli import main, main_entry
+from chshkit.cli import format_records, main, main_entry
 from chshkit.configio import load_strategy, save_strategy, strategy_config
-from chshkit.game import CHUNK_ROUNDS, NSBox, as_correlation_box, box_of_strategy, expected_score
+from chshkit.game import (
+    CHUNK_ROUNDS,
+    NSBox,
+    as_correlation_box,
+    box_of_strategy,
+    expected_score,
+    simulate_chunks,
+)
 from chshkit.linalg import MAX_DIM
 from chshkit.tsirelson import TSIRELSON_SCORE, canonical_setup
 
@@ -571,6 +578,24 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys, name, n, seed):
     digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
                hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert digests == SIMULATE_DIGESTS[name, n, seed]
+
+
+@pytest.mark.parametrize("seed", [3, 2**40 + 1])
+@pytest.mark.parametrize("n", [100_005, 1_000_003])
+def test_simulate_file_is_format_records_of_each_chunk(tmp_path, capsys, n, seed):
+    # Both n cross an index width inside a chunk (10**5 and 10**6).
+    cfg = simulate_config(tmp_path, "quantum")
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--config", cfg, "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+    data = out.read_bytes()
+    chunks = simulate_chunks(load_strategy(cfg), n, seed)
+    assert data == b"".join(format_records(chunk, chunk.start).encode() for chunk in chunks)
+    assert b"\r" not in data
+    raw = np.frombuffer(data, dtype=np.uint8)
+    row_ends = np.flatnonzero(raw == ord("\n"))[1:]  # after the header
+    assert len(row_ends) == n
+    won = np.count_nonzero(raw[row_ends - 1] == ord("1"))
+    assert float(report_of(capsys)["empirical_win_rate"]) == won / n
 
 
 #: Inputs of the dilate digests: the squared moduli of a 4x4 Haar unitary,

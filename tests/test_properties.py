@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chshkit import game
 from chshkit.causality import causally_independent
-from chshkit.cli import format_records, main
+from chshkit.cli import _record_rows, format_records, main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
     CHUNK_ROUNDS,
@@ -205,6 +205,25 @@ def test_format_records_matches_per_row_oracle(chunk):
     start, columns = chunk
     rounds = SimulationChunk(start, *(np.array(c, dtype=np.int8) for c in columns))
     assert format_records(rounds, start) == _records_oracle(start, *columns)
+
+
+#: Record chunks whose indices reach 21 digits, past any 64-bit or 20-digit cap.
+huge_record_chunks = record_chunks().map(lambda chunk: (chunk[0] + 10**20 - 150, chunk[1]))
+
+
+@PROPERTY
+@given(chunks=st.lists(st.one_of(record_chunks(), huge_record_chunks), min_size=2, max_size=4))
+def test_record_rows_reuse_one_buffer_without_leftover_bytes(chunks):
+    # Starts run from the widest index down, then back up, so a chunk often
+    # follows one with longer rows in the same buffer.
+    chunks = sorted(chunks, key=lambda chunk: chunk[0], reverse=True)
+    chunks += chunks[::-1]
+    widest = max(len(str(start + len(columns[0]) - 1)) for start, columns in chunks)
+    buf = np.full(max(len(columns[0]) for _, columns in chunks) * (widest + 11), ord("#"), dtype=np.uint8)
+    for start, columns in chunks:
+        rounds = SimulationChunk(start, *(np.array(c, dtype=np.int8) for c in columns))
+        rows = str(_record_rows(rounds, start, buf), "ascii")
+        assert ("round_index,x,y,q,r,win\n" if start == 0 else "") + rows == _records_oracle(start, *columns)
 
 
 @pytest.mark.parametrize(
