@@ -36,6 +36,7 @@ from .game import (
     win_probability,
     wins,
 )
+from .linalg import as_integer
 from .tsirelson import TSIRELSON_SCORE, QuantumSetup, optimize
 
 EXIT_OK = 0
@@ -172,6 +173,9 @@ def format_records(rounds, start: int = 0) -> str:
     The rows are the text of the bytes :func:`_record_rows` writes, the
     bytes ``simulate`` writes to its record file.
     """
+    start = as_integer(start, "start")
+    if start < 0:
+        raise ValueError(f"start must be non-negative, got {start}")
     count = len(rounds.x)
     buf = np.empty(count * _row_bytes(start + count - 1), dtype=np.uint8)
     rows = str(_record_rows(rounds, start, buf), "ascii")  # decodes the buffer without a bytes copy

@@ -348,7 +348,7 @@ def _simulate_chunk(cum: np.ndarray, seed: int, chunk_index: int, count: int):
     is 1.0, which no draw in [0, 1) reaches.
     """
     u = substream(seed, chunk_index).random((2, count))
-    setting = np.minimum((u[0] * 4.0).astype(np.int8), 3)
+    setting = (u[0] * 4.0).astype(np.int8)  # u <= 1 - 2**-53 and * 4.0 is exact: at most 3
     index = setting.astype(np.intp)
     outcome = np.zeros(count, dtype=np.int8)
     for column in range(3):

@@ -15,7 +15,6 @@ import numpy as np
 from .linalg import (
     MAX_DIM,
     RESTART_BLOCK,
-    SUM_TOL,
     as_integer,
     as_probabilities,
     as_tolerance,
@@ -50,19 +49,6 @@ def evolve(gamma, p0) -> np.ndarray:
             f"dimension mismatch: gamma conditions on {g.shape[1]} configurations, p0 has {d.shape[0]}"
         )
     return g @ d
-
-
-def is_doubly_stochastic(gamma, tol: float = SUM_TOL) -> bool:
-    """True iff ``gamma`` is square with unit row and column sums within ``tol``."""
-    a = np.asarray(gamma, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        return False
-    if not np.isfinite(a).all() or a.min() < -tol:
-        return False
-    return bool(
-        np.max(np.abs(a.sum(axis=0) - 1.0)) <= tol
-        and np.max(np.abs(a.sum(axis=1) - 1.0)) <= tol
-    )
 
 
 @dataclass
@@ -145,6 +131,10 @@ def dilation_report(
     moduli ``sqrt(gamma)`` and the set of unitary matrices (via the polar
     factor of an SVD), restarted from fresh random phases.  Restart ``k``
     draws its phases from a counter-based substream keyed by ``(seed, k)``.
+    ``gamma`` must pass the package's one probability rule on its columns
+    and on its rows, whatever ``tol``, which is only the search's
+    acceptance threshold: a unitary ``u`` is found once every entry of
+    ``abs(u)**2`` is within ``tol`` of ``gamma``.
 
     One loop holds the blocks, the find rule and the stall rule.  Restarts
     run in lock-step blocks of 1, 2, 4, ... up to ``RESTART_BLOCK`` (64),
@@ -167,16 +157,16 @@ def dilation_report(
         raise ValueError(f"gamma must be square, got shape {g.shape}")
     if g.shape[0] > MAX_DIM:  # restarts this large take seconds each: fail before the first
         raise ValueError(f"gamma is {g.shape[0]}x{g.shape[0]}; sides above {MAX_DIM} are not supported")
-    if not is_doubly_stochastic(g, tol=max(tol, SUM_TOL)):
-        raise ValueError(
-            "gamma must be doubly stochastic: only doubly stochastic matrices can equal "
-            "the squared moduli of a unitary"
-        )
+    try:  # the package's one probability rule, on the columns and then the rows
+        clean = as_stochastic_matrix(g)
+        as_probabilities(g, 2, 1, "gamma", "have rows summing to 1")
+    except ValueError as err:
+        raise ValueError(f"gamma must be doubly stochastic: {err}") from None
     max_restarts = as_integer(max_restarts, "max_restarts")
     if max_restarts < 1:
         raise ValueError("max_restarts must be positive")
-    g = g[None]  # a leading stack axis, so that a block of one broadcasts nothing
-    roots = np.sqrt(np.clip(g, 0.0, None))
+    g = clean[None]  # a leading stack axis, so that a block of one broadcasts nothing
+    roots = np.sqrt(g)
     stalled_best: list[float] = []  # every restart that ran out without finding
     lo = 0
     while lo < max_restarts:

@@ -270,6 +270,18 @@ def test_process_invariant_violation(tmp_path, capsys):
     assert "doubly stochastic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "gamma, tol",
+    [([[0.55, 0.5], [0.5, 0.55]], "0.1"),  # columns sum to 1.05
+     ([[0.500000005, 0.5], [0.5, 0.500000005]], None)],  # 5e-9 off, at the default tol
+)
+def test_process_dilate_input_rule_ignores_tol(tmp_path, capsys, gamma, tol):
+    cfg = write_json(tmp_path / "m.json", {"gamma": gamma})
+    argv = ["process", "--tool", "dilate", "--config", cfg] + (["--tol", tol] if tol else [])
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("invariant violation: gamma must be doubly stochastic: ")
+
+
 def test_process_dilate_rejects_oversized_input_before_searching(tmp_path, capsys):
     side = MAX_DIM + 1
     cfg = write_json(tmp_path / "m.json", {"gamma": np.full((side, side), 1.0 / side).tolist()})
@@ -580,6 +592,16 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys, name, n, seed):
     assert digests == SIMULATE_DIGESTS[name, n, seed]
 
 
+def test_format_records_reads_start_as_a_non_negative_integer():
+    chunk = next(simulate_chunks(canonical_setup(), 5, 1))
+    for start, message in [(-3, "^start must be non-negative, got -3$"),
+                           (2.5, "^start must be an integer, got 2.5$"),
+                           ("1", "^start must be an integer, got '1'$")]:
+        with pytest.raises(ValueError, match=message):
+            format_records(chunk, start)
+    assert format_records(chunk, 2.0) == format_records(chunk, 2)
+
+
 @pytest.mark.parametrize("seed", [3, 2**40 + 1])
 @pytest.mark.parametrize("n", [100_005, 1_000_003])
 def test_simulate_file_is_format_records_of_each_chunk(tmp_path, capsys, n, seed):
@@ -637,7 +659,11 @@ def test_dilate_outputs_are_pinned(tmp_path, capsys, name, seed, restarts):
     if restarts is not None:
         argv += ["--restarts", str(restarts)]
     assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DILATE_DIGESTS[name, seed, restarts]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DILATE_DIGESTS[name, seed, restarts], (
+        "the digests pin the output bits of the LAPACK build they were recorded with "
+        f"(numpy 2.4.6, scipy-openblas 0.3.31); this run has numpy {np.__version__}, "
+        "so a mismatch on another BLAS build is a platform difference"
+    )
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshkit.linalg import MAX_DIM, haar_unitary, rotation
+from chshkit.linalg import MAX_DIM, as_probabilities, haar_unitary, rotation
 from chshkit.stochastic import (
     DIVISION_TOL,
+    as_stochastic_matrix,
     dilation_report,
     divide,
     divide_report,
     evolve,
     find_unitary_dilation,
-    is_doubly_stochastic,
     qcor,
     unistochastic_of,
 )
@@ -194,7 +194,9 @@ def test_unistochastic_of_is_doubly_stochastic():
     rng = np.random.default_rng(13)
     for dim in (2, 3, 5):
         for _ in range(20):
-            assert is_doubly_stochastic(unistochastic_of(haar_unitary(dim, rng)), 1e-10)
+            g = unistochastic_of(haar_unitary(dim, rng))
+            as_stochastic_matrix(g)  # the shared rule on the columns ...
+            as_probabilities(g, 2, 1, "g", "have rows summing to 1")  # ... and on the rows
 
 
 def test_dilation_identity():
@@ -251,7 +253,6 @@ def test_dilation_rejects_non_doubly_stochastic():
 
 
 def test_empty_matrix_is_not_doubly_stochastic():
-    assert is_doubly_stochastic(np.zeros((0, 0))) is False
     with pytest.raises(ValueError, match="^gamma must be doubly stochastic"):
         dilation_report(np.zeros((0, 0)))
 
@@ -377,6 +378,43 @@ def test_dilation_rejects_a_non_integral_seed():
 def test_dilation_rejects_a_non_square_gamma_and_no_restarts(gamma, kwargs, message):
     with pytest.raises(ValueError, match=message):
         dilation_report(gamma, **kwargs)
+
+
+@st.composite
+def birkhoff_gammas(draw):
+    """A mixture of permutation matrices, sometimes with an entry, a column
+    or a row nudged by an amount on either side of the rule's slacks."""
+    side = draw(st.integers(2, 6))
+    perms = draw(st.lists(st.permutations(range(side)), min_size=1, max_size=4))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(perms), max_size=len(perms))))
+    gamma = sum(w * np.eye(side)[list(p)] for w, p in zip(weights / weights.sum(), perms))
+    kind = draw(st.sampled_from(["none", "entry", "column", "row"]))
+    delta = draw(st.sampled_from([-5e-2, -1e-9, -5e-11, -5e-13, 5e-13, 5e-11, 2e-10, 5e-9, 5e-2]))
+    i, j = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+    if kind == "entry":
+        gamma[i, j] += delta
+    elif kind == "column":
+        gamma[:, j] *= 1 + delta
+    elif kind == "row":
+        gamma[i, :] *= 1 + delta
+    return gamma
+
+
+@settings(max_examples=60, deadline=None)
+@given(birkhoff_gammas())
+def test_dilation_input_rule_does_not_depend_on_tol(gamma):
+    try:
+        as_stochastic_matrix(gamma)
+        as_probabilities(gamma, 2, 1, "gamma", "have rows summing to 1")
+        rejected = False
+    except ValueError:
+        rejected = True
+    for tol in (1e-12, 1e-8, 1e-3, 0.5):
+        if rejected:
+            with pytest.raises(ValueError, match="^gamma must be doubly stochastic: gamma"):
+                dilation_report(gamma, tol=tol, max_restarts=1)
+        else:
+            dilation_report(gamma, tol=tol, max_restarts=1)
 
 
 def test_dilation_reads_max_restarts_as_an_integer():
