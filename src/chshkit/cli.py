@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from itertools import product
 
 import numpy as np
@@ -189,7 +190,8 @@ def cmd_simulate(args) -> dict:
     chunks = _chunks(box, args.n, args.seed)
     buf = np.empty(min(CHUNK_ROUNDS, args.n) * _row_bytes(args.n - 1), dtype=np.uint8)
     won = 0
-    with open(args.out, "wb") as fh:
+    # Closed explicitly, so an I/O error stops the chunk-drawing thread at once.
+    with closing(chunks), open(args.out, "wb") as fh:
         fh.write(_RECORD_HEADER.encode())
         for chunk in chunks:
             fh.write(_record_rows(chunk, chunk.start, buf))

@@ -367,21 +367,64 @@ def simulate_chunks(strategy: Strategy, n: int, seed: int) -> Iterator[Simulatio
     and ``n`` (an integer: ``10.0`` is one, ``10.5`` is not) and ``seed``
     are checked, before the first chunk is drawn, so a caller can fail
     before it opens its output.
+
+    Where this process may run on more than one CPU, a run of more than one
+    chunk draws the next chunk on one worker thread while the caller uses
+    the current one; the chunks are the same either way.  Close the
+    iterator (or exhaust it) to stop that thread.
     """
     return _chunks(box_of_strategy(strategy), n, seed)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunks(box: np.ndarray, n: int, seed: int) -> Iterator[SimulationChunk]:
-    """:func:`simulate_chunks` of a validated box; ``n`` and ``seed`` are checked now."""
+    """:func:`simulate_chunks` of a validated box; ``n`` and ``seed`` are checked now.
+
+    Returns a generator: nothing is drawn and no thread starts before the
+    first chunk is asked for.  With one usable CPU, or one chunk, each
+    chunk is drawn when asked for; otherwise one chunk is drawn ahead.
+    """
     n = as_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     cum = _outcome_cumulatives(box)
     seed = as_seed(seed)
-    return (
-        SimulationChunk(start, *_simulate_chunk(cum, seed, i, min(CHUNK_ROUNDS, n - start)))
-        for i, start in enumerate(range(0, n, CHUNK_ROUNDS))
-    )
+    starts = range(0, n, CHUNK_ROUNDS)
+
+    def draw(i: int) -> SimulationChunk:
+        start = starts[i]
+        return SimulationChunk(start, *_simulate_chunk(cum, seed, i, min(CHUNK_ROUNDS, n - start)))
+
+    if len(starts) == 1 or _usable_cpus() == 1:
+        return (draw(i) for i in range(len(starts)))
+    return _drawn_ahead(draw, len(starts))
+
+
+def _drawn_ahead(draw, count: int) -> Iterator[SimulationChunk]:
+    """``draw(0)``, ..., ``draw(count - 1)``, each drawn on one worker thread
+    while the caller uses the one before it.
+
+    The worker runs ``draw`` only, and at most one chunk is drawn ahead, so
+    memory stays that of a few chunks whatever ``count`` is.  An exception
+    raised by a draw reaches the caller when that chunk is due; closing the
+    generator waits for the draw in flight and joins the worker.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # about 5 ms to import: only when used
+
+    with ThreadPoolExecutor(1) as worker:
+        ahead = worker.submit(draw, 0)
+        for i in range(1, count):
+            current, ahead = ahead.result(), worker.submit(draw, i)
+            yield current
+        yield ahead.result()
 
 
 def simulate_rounds(strategy: Strategy, n: int, seed: int) -> SimulationResult:

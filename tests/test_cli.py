@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -706,6 +707,49 @@ def test_simulate_peak_memory_does_not_grow_with_n(tmp_path):
 
     small, large = peak_kb(2 * CHUNK_ROUNDS), peak_kb(32 * CHUNK_ROUNDS)
     assert large - small <= 16 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("out", ["/dev/full", "missing_dir"])
+def test_simulate_io_errors_leave_no_thread_behind(tmp_path, capsys, out):
+    if out == "/dev/full" and not os.path.exists(out):
+        pytest.skip("no /dev/full on this platform")
+    path = out if out == "/dev/full" else str(tmp_path / "no" / "such" / "r.csv")
+    argv = ["simulate", "--config", simulate_config(tmp_path, "ns_box"), "--n", "300000",
+            "--seed", "1", "--out", path]
+    before = threading.active_count()
+    assert main(argv) == 4
+    assert threading.active_count() == before
+    if out == "/dev/full":
+        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+
+
+#: Runs ``cli.main`` on its argv in an interpreter limited to one CPU, where
+#: chunks are drawn inline: starting a thread fails the run.
+ONE_CPU_LAUNCHER = """
+import os, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+def refuse(thread):
+    raise RuntimeError("a thread was started on one CPU")
+
+threading.Thread.start = refuse
+from chshkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+@pytest.mark.parametrize("name, n, seed", [("quantum", 10**6, 7), ("ns_box", 65537, 0)])
+def test_simulate_on_one_cpu_draws_inline_and_writes_the_pinned_outputs(tmp_path, name, n, seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "r.csv"
+    argv = [sys.executable, "-c", ONE_CPU_LAUNCHER, "simulate", "--config", simulate_config(tmp_path, name),
+            "--n", str(n), "--seed", str(seed), "--out", str(out)]
+    run = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr.decode()
+    digests = (hashlib.sha256(out.read_bytes()).hexdigest(), hashlib.sha256(run.stdout).hexdigest())
+    assert digests == SIMULATE_DIGESTS[name, n, seed]
 
 
 @pytest.mark.parametrize(

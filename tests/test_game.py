@@ -1,9 +1,11 @@
 import math
+import threading
 from itertools import product
 
 import numpy as np
 import pytest
 
+from chshkit import game
 from chshkit.cli import _ROW_TAILS
 from chshkit.configio import strategy_config
 from chshkit.game import (
@@ -333,3 +335,39 @@ def test_simulate_reads_n_as_an_integer():
         simulate_rounds(NSBox(0.5), 10.5, seed=1)
     with pytest.raises(ValueError, match="^n must be an integer"):
         simulate_chunks(NSBox(0.5), "10", seed=1)
+
+
+def test_a_closed_chunk_iterator_leaves_no_thread_behind():
+    before = threading.active_count()
+    one = simulate_chunks(NSBox(0.5), CHUNK_ROUNDS, seed=3)
+    first = next(one)
+    assert threading.active_count() == before  # one chunk starts no thread
+    one.close()
+    chunks = simulate_chunks(NSBox(0.5), 5 * CHUNK_ROUNDS, seed=3)
+    assert threading.active_count() == before  # nothing runs before the first chunk is asked for
+    assert np.array_equal(next(chunks).x, first.x)
+    # With more than one usable CPU, the worker now draws the second chunk.
+    assert threading.active_count() == before + (game._usable_cpus() > 1)
+    chunks.close()
+    assert threading.active_count() == before
+
+
+def test_an_error_drawing_a_chunk_reaches_the_caller_after_the_chunks_before_it(monkeypatch):
+    class DrawError(Exception):
+        pass
+
+    draw = game._simulate_chunk
+
+    def failing(cum, seed, chunk_index, count):
+        if chunk_index == 2:
+            raise DrawError("chunk 2 failed")
+        return draw(cum, seed, chunk_index, count)
+
+    monkeypatch.setattr(game, "_simulate_chunk", failing)
+    before = threading.active_count()
+    chunks = simulate_chunks(NSBox(0.5), 5 * CHUNK_ROUNDS, seed=4)
+    assert [next(chunks).start, next(chunks).start] == [0, CHUNK_ROUNDS]
+    with pytest.raises(DrawError) as raised:
+        next(chunks)
+    assert type(raised.value) is DrawError and str(raised.value) == "chunk 2 failed"
+    assert threading.active_count() == before
