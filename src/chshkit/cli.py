@@ -111,28 +111,8 @@ _PADDED_TAILS = np.zeros((len(_ROW_TAILS), 16), dtype=np.uint8)
 _PADDED_TAILS[:, : _ROW_TAILS.shape[1]] = _ROW_TAILS
 
 
-#: ASCII digits 0-9.
-_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-
-
-def _index_digits(lo: int, hi: int, place: int) -> np.ndarray:
-    """ASCII digit at ``place`` (a power of ten) of each round index in ``[lo, hi)``.
-
-    Over consecutive indices that digit holds for runs of ``place`` rows and
-    steps through 0-9 from run to run, so the column is a few digits, each
-    repeated for its run; only the first and the last run can be short.
-    """
-    first, last = lo // place, (hi - 1) // place
-    runs = last - first + 1
-    digits = np.tile(_DIGITS, runs // 10 + 2)[first % 10 : first % 10 + runs]
-    if place == 1:  # runs of one row: nothing to repeat
-        return digits
-    # Only middle runs are whole, and then ``place`` is below ``hi - lo``:
-    # a larger place (from 10**19 up) does not fit the int64 counts.
-    counts = np.full(runs, min(place, hi - lo))
-    counts[0] = min((first + 1) * place, hi) - lo
-    counts[-1] = hi - max(last * place, lo)
-    return np.repeat(digits, counts)
+#: ASCII of 0000-9999, row ``i`` holding the four digits of ``i``.
+_LOW_DIGITS = np.stack(np.indices((10,) * 4, dtype=np.uint8), axis=-1).reshape(10_000, 4) + ord("0")
 
 
 def _row_bytes(last: int) -> int:
@@ -145,10 +125,14 @@ def _record_rows(rounds, start: int, buf: np.ndarray) -> np.ndarray:
     ``uint8`` buffer ``buf`` and return its filled prefix.
 
     ``buf`` must hold ``len(rounds.x)`` rows of the widest index among them
-    (:func:`_row_bytes`).  Rows whose round indices have the same number of
-    digits are built as one block of ``buf``: each index digit column is
-    built from its runs (:func:`_index_digits`), and each row tail is copied
-    as one ``V11`` item from ``_PADDED_TAILS`` gathered by the outcome code.
+    (:func:`_row_bytes`).  The rows are built in blocks of ``buf`` whose
+    round indices have the same number of digits and differ only in their
+    last four: a block's leading digits are one slice of ``str(lo)`` written
+    to every row as one void item, its last (up to four) digits are the
+    matching rows of ``_LOW_DIGITS`` copied as one void item per row, and
+    each row tail is copied as one ``V11`` item from ``_PADDED_TAILS``
+    gathered by the outcome code.  The leading digits come from a Python
+    int, so any index size is written exactly.
     """
     code = (8 * rounds.x + 4 * rounds.y + 2 * rounds.q + rounds.r).astype(np.intp)
     tail = _ROW_TAILS.shape[1]
@@ -156,11 +140,14 @@ def _record_rows(rounds, start: int, buf: np.ndarray) -> np.ndarray:
     lo, end, filled = start, start + len(code), 0
     while lo < end:
         width = len(str(lo))
-        hi = min(end, 10**width)
+        hi = min(end, 10**width, lo - lo % 10_000 + 10_000)
         size = (hi - lo) * (width + tail)
         block = buf[filled : filled + size].reshape(hi - lo, width + tail)
-        for column in range(width):
-            block[:, column] = _index_digits(lo, hi, 10 ** (width - 1 - column))
+        k = min(width, 4)
+        lead, low = width - k, lo % 10_000
+        if lead:
+            block[:, :lead].view(f"V{lead}")[...] = np.void(str(lo)[:lead].encode())
+        block[:, lead:width].view(f"V{k}")[...] = _LOW_DIGITS[low : low + hi - lo, 4 - k :].view(f"V{k}")
         block[:, width:].view(f"V{tail}")[...] = tails[lo - start : hi - start]
         lo, filled = hi, filled + size
     return buf[:filled]

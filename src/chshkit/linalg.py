@@ -57,13 +57,15 @@ def as_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def as_dims(dims) -> tuple[int, int]:
-    """Validate a pair of local dimensions: exactly two integers, not truncated."""
+def as_dims(values, name: str = "dims", what: str = "local dimensions") -> tuple[int, int]:
+    """Validate a pair of per-side integers, local dimensions by default:
+    exactly two integers, not truncated.  Errors call the pair ``name`` and
+    its entries ``what``."""
     try:
-        da, db = dims
+        a, b = values
     except (TypeError, ValueError):
-        raise ValueError(f"dims must be two local dimensions, got {dims!r}") from None
-    return as_integer(da, "dims[0]"), as_integer(db, "dims[1]")
+        raise ValueError(f"{name} must be two {what}, got {values!r}") from None
+    return as_integer(a, f"{name}[0]"), as_integer(b, f"{name}[1]")
 
 
 def as_seed(seed) -> int:
@@ -299,9 +301,9 @@ def amplitude_representation(gamma, phases) -> np.ndarray:
     """
     g = np.asarray(gamma, dtype=float)
     th = np.asarray(phases, dtype=float)
-    if g.ndim != 2 or th.shape != g.shape:
+    if g.ndim != 2 or g.size == 0 or th.shape != g.shape:
         raise ValueError(
-            f"gamma and phases must be matrices of equal shape, got {g.shape} and {th.shape}"
+            f"gamma and phases must be non-empty matrices of equal shape, got {g.shape} and {th.shape}"
         )
     if not (np.isfinite(g).all() and np.isfinite(th).all()):
         raise ValueError("gamma and phases must be finite")

@@ -113,7 +113,7 @@ class PreparationUnitary:
         da, db = as_dims(self.dims)
         if da < 1 or db < 1 or da * db != c.shape[0]:
             raise ValueError(f"dims {self.dims!r} do not match preparation dimension {c.shape[0]}")
-        q0, r0 = as_integer(self.initial[0], "initial[0]"), as_integer(self.initial[1], "initial[1]")
+        q0, r0 = as_dims(self.initial, "initial", "local configurations")
         if not (0 <= q0 < da and 0 <= r0 < db):
             raise ValueError(f"initial configuration {self.initial!r} out of range for dims {self.dims!r}")
         object.__setattr__(self, "c_psi", c)

@@ -215,7 +215,9 @@ NOT_PROBABILITIES = r"^gamma entries must be probabilities in \[0, 1\]$"
     [(np.eye(2), np.full((2, 2), np.inf), NOT_FINITE),
      (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_FINITE),
      (np.array([[1.5, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_PROBABILITIES),
-     (np.array([[-0.1, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_PROBABILITIES)],
+     (np.array([[-0.1, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_PROBABILITIES),
+     (np.zeros((0, 0)), np.zeros((0, 0)),
+      r"^gamma and phases must be non-empty matrices of equal shape, got \(0, 0\) and \(0, 0\)$")],
 )
 def test_amplitude_representation_rejects_non_finite_and_out_of_range_input(gamma, phases, message):
     with pytest.raises(ValueError, match=message):

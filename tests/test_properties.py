@@ -191,8 +191,8 @@ def _records_oracle(start, x, y, q, r):
 @st.composite
 def record_chunks(draw):
     count = draw(st.integers(1, 300))
-    if draw(st.booleans()):  # straddle a change of index width inside the chunk
-        start = max(0, draw(st.sampled_from([10, 100_000, 1_000_000])) - draw(st.integers(1, count)))
+    if draw(st.booleans()):  # straddle a change of index width, or of the last four digits' block
+        start = max(0, draw(st.sampled_from([10, 100_000, 1_000_000, 1_230_000])) - draw(st.integers(1, count)))
     else:
         start = draw(st.one_of(st.just(0), st.integers(0, 10**15)))
     rows = draw(st.lists(st.tuples(bits, bits, bits, bits), min_size=count, max_size=count))
@@ -229,11 +229,12 @@ def test_record_rows_reuse_one_buffer_without_leftover_bytes(chunks):
 @pytest.mark.parametrize(
     "start, count",
     [(9_990, CHUNK_ROUNDS), (99_000, CHUNK_ROUNDS), (999_995, CHUNK_ROUNDS),
-     (10**7 - 65_530, CHUNK_ROUNDS), (123_456_789, CHUNK_ROUNDS), (10**6, 1)],
+     (10**7 - 65_530, CHUNK_ROUNDS), (123_456_789, CHUNK_ROUNDS), (10**6, 1),
+     (10**19 - 30_000, CHUNK_ROUNDS)],
 )
 def test_format_records_matches_per_row_oracle_on_long_chunks(start, count):
     # Whole chunks cross many runs of every index digit and, for the first
-    # four starts, a change of index width.
+    # four starts and the last, a change of index width.
     columns = np.random.default_rng(start).integers(0, 2, size=(4, count), dtype=np.int8)
     rounds = SimulationChunk(start, *columns)
     assert format_records(rounds, start) == _records_oracle(start, *columns.tolist())

@@ -345,6 +345,9 @@ def test_optimize_reads_restarts_as_an_integer():
      ((2, 2), (0.7, 1), r"^initial\[0\] must be an integer"),
      ((2, 2), (0, 1.9), r"^initial\[1\] must be an integer"),
      ((2, 2, 1), (0, 0), "^dims must be two local dimensions"),
+     ((2, 2), (0, 0, 7), r"^initial must be two local configurations, got \(0, 0, 7\)$"),
+     ((2, 2), (0,), r"^initial must be two local configurations, got \(0,\)$"),
+     ((2, 2), 5, r"^initial must be two local configurations, got 5$"),
      ((2, 3), (0, 0), r"^dims \(2, 3\) do not match preparation dimension 4$"),
      ((4, 1), (0, 1), r"^initial configuration \(0, 1\) out of range for dims \(4, 1\)$")],
 )
