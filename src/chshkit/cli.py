@@ -37,7 +37,7 @@ from .game import (
     win_probability,
     wins,
 )
-from .linalg import as_integer
+from .linalg import as_integer, as_seed, as_tolerance
 from .tsirelson import TSIRELSON_SCORE, QuantumSetup, optimize
 
 EXIT_OK = 0
@@ -235,7 +235,7 @@ def cmd_optimize(args) -> dict:
     }
 
 
-def cmd_process(args) -> dict:
+def _process_report(args) -> dict:
     if args.tool == "qcor":
         data = load_process_input(args.config, {"u_total": "complex", "u_first": "complex"})
         result = stochastic.qcor(data["u_total"], data["u_first"])
@@ -258,6 +258,16 @@ def cmd_process(args) -> dict:
         "residual": report.residual,
         "result": None if found is None else payload(found),
     }
+
+
+def cmd_process(args) -> dict:
+    report = _process_report(args)
+    # Every tool checks every flag, read or not, after its matrices, as dilate does.
+    as_tolerance(args.tol)
+    if args.restarts < 1:
+        raise ValueError("max_restarts must be positive")
+    as_seed(args.seed)
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -269,22 +269,6 @@ def enumerate_deterministic() -> tuple[float, list[Deterministic]]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One played round; the win flag is pinned to the game rule."""
-
-    round_index: int
-    x: int
-    y: int
-    q: int
-    r: int
-    win: bool
-
-    def __post_init__(self) -> None:
-        if self.win != wins(self.x, self.y, self.q, self.r):
-            raise ValueError("win flag inconsistent with q xor r == x*y")
-
-
 @dataclass
 class SimulationResult:
     """Column arrays for a seeded batch of rounds, plus summary statistics."""
@@ -304,21 +288,6 @@ class SimulationResult:
     @property
     def empirical_score(self) -> float:
         return 2.0 * self.empirical_win_rate - 1.0
-
-    def record(self, i: int) -> RoundRecord:
-        return RoundRecord(
-            i, int(self.x[i]), int(self.y[i]), int(self.q[i]), int(self.r[i]), bool(self.win[i])
-        )
-
-    def records(self) -> Iterator[RoundRecord]:
-        for i in range(self.n):
-            yield self.record(i)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[RoundRecord]:
-        return self.records()
 
 
 def _outcome_cumulatives(box: np.ndarray) -> np.ndarray:

@@ -77,7 +77,8 @@ def divide_report(gamma_total, gamma_first, tol: float = DIVISION_TOL) -> Divisi
     ``not_found``.  For ``gamma_first`` =
     ``[[1/2, 0], [1/2, 1/2], [0, 1/2]]`` the stochastic
     ``[[1, 1/2, 0], [0, 1/2, 1]]`` divides ``[[3/4, 1/4], [1/4, 3/4]]``,
-    but the candidate has entries of -1/6.
+    but the candidate has entries of -1/6.  The report's ``residual``, which
+    ``chshkit process`` prints, is the candidate's, accepted or not.
     """
     tol = as_tolerance(tol)
     gt = as_stochastic_matrix(gamma_total, "gamma_total")
@@ -101,11 +102,6 @@ def divide_report(gamma_total, gamma_first, tol: float = DIVISION_TOL) -> Divisi
     if residual > tol:
         return DivisionReport(None, residual)
     return DivisionReport(candidate, residual)
-
-
-def divide(gamma_total, gamma_first, tol: float = DIVISION_TOL) -> np.ndarray | None:
-    """Stochastic quotient with ``gamma_total = quotient @ gamma_first``, or None."""
-    return divide_report(gamma_total, gamma_first, tol).quotient
 
 
 def unistochastic_of(u) -> np.ndarray:
@@ -148,8 +144,9 @@ def dilation_report(
     are Python floats in lists.  A block holds a few stacked arrays of
     ``64 * d * d`` complex entries, 4 MB each at ``MAX_DIM``.
 
-    An empty result is a search failure, never a proof that no dilation
-    exists.
+    The report is the result: ``unitary`` is None when no restart finds, and
+    ``residual`` is the finder's, else the lowest of any restart.  No unitary
+    is a search failure, never a proof that no dilation exists.
     """
     tol = as_tolerance(tol)
     g = np.asarray(gamma, dtype=float)
@@ -200,13 +197,6 @@ def dilation_report(
         stalled_best += best  # still running at the iteration cap
         lo = hi
     return DilationReport(None, min(stalled_best))
-
-
-def find_unitary_dilation(
-    gamma, tol: float = DIVISION_TOL, *, max_restarts: int = 64, seed: int = 0
-) -> np.ndarray | None:
-    """Unitary with ``|u|**2 == gamma`` within ``tol``, or None if the search fails."""
-    return dilation_report(gamma, tol, max_restarts=max_restarts, seed=seed).unitary
 
 
 def qcor(u_total, u_first) -> np.ndarray:

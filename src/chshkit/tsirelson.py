@@ -53,7 +53,7 @@ class QuantumSetup:
     local configuration sets).  ``a0``/``a1`` act on the first side for
     settings 0/1, ``b0``/``b1`` on the second.  Outcome maps send each local
     configuration to the single bit that side reports; each side exposes one
-    bit and nothing finer.
+    bit and nothing finer; a map left as None is the parity map ``k % 2``.
     """
 
     state: np.ndarray
@@ -61,8 +61,8 @@ class QuantumSetup:
     a1: np.ndarray
     b0: np.ndarray
     b1: np.ndarray
-    alice_outcome: tuple[int, ...] = ()
-    bob_outcome: tuple[int, ...] = ()
+    alice_outcome: tuple[int, ...] | None = None
+    bob_outcome: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         a0 = assert_unitary(self.a0, name="a0")
@@ -81,8 +81,10 @@ class QuantumSetup:
             raise ValueError(
                 f"state dimension {state.shape[0]} does not match joint dimension {da * db}"
             )
-        alice = as_bits(tuple(self.alice_outcome) or _default_outcome_map(da), da, "alice_outcome")
-        bob = as_bits(tuple(self.bob_outcome) or _default_outcome_map(db), db, "bob_outcome")
+        alice = as_bits(_default_outcome_map(da) if self.alice_outcome is None else self.alice_outcome,
+                        da, "alice_outcome")
+        bob = as_bits(_default_outcome_map(db) if self.bob_outcome is None else self.bob_outcome,
+                      db, "bob_outcome")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
@@ -198,12 +200,9 @@ def _quarter_expectation(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (_T(v.conj()) @ (c @ v))[..., 0, 0].real / 4.0
 
 
-def score_of_setup(setup: QuantumSetup, state=None) -> float:
-    """Expected game score of a setup: one quarter of the CHSH-operator expectation."""
-    psi = setup.state if state is None else as_state_vector(state)
-    if psi.shape[0] != setup.dim_a * setup.dim_b:
-        raise ValueError("state dimension does not match the setup's joint dimension")
-    return float(_quarter_expectation(chsh_operator(setup), psi))
+def score_of_setup(setup: QuantumSetup) -> float:
+    """Expected game score of a setup: one quarter of the CHSH-operator expectation in its state."""
+    return float(_quarter_expectation(chsh_operator(setup), setup.state))
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:

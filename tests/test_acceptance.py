@@ -35,7 +35,7 @@ from chshkit.game import (
     win_probability,
 )
 from chshkit.linalg import haar_unitary, spectral_norm
-from chshkit.stochastic import dilation_report, find_unitary_dilation, qcor
+from chshkit.stochastic import dilation_report, qcor
 from chshkit.tsirelson import (
     CHSH_OPERATOR_CEILING,
     TSIRELSON_SCORE,
@@ -189,7 +189,7 @@ def test_criterion_11_dilation():
     for k in range(100):
         a = rng.uniform(0.0, 1.0)
         g = np.array([[a, 1 - a], [1 - a, a]])
-        u = find_unitary_dilation(g, tol=1e-8, seed=k)
+        u = dilation_report(g, tol=1e-8, seed=k).unitary
         assert u is not None
         assert np.max(np.abs(np.abs(u) ** 2 - g)) <= 1e-8
     report = dilation_report(WITNESS_3X3, tol=1e-8, max_restarts=64, seed=1111)

@@ -19,7 +19,7 @@ from chshkit.causality import (
 )
 from chshkit.game import as_correlation_box
 from chshkit.linalg import haar_unitary, tensor
-from chshkit.stochastic import divide, qcor, unistochastic_of
+from chshkit.stochastic import divide_report, qcor, unistochastic_of
 
 
 def random_stochastic(dim, rng):
@@ -293,4 +293,4 @@ def test_pr_box_process_carries_the_remote_input_in_a_phase(pr_box_process):
     u_11, phase = unitaries[1, 1], tensor(np.eye(2), PAULI_Z)
     assert np.array_equal(np.abs(HADAMARD @ PAULI_Z) ** 2, np.abs(HADAMARD) ** 2)
     assert not qcor(u_11, phase).any()
-    assert divide(np.abs(u_11) ** 2, np.abs(phase) ** 2) is not None
+    assert divide_report(np.abs(u_11) ** 2, np.abs(phase) ** 2).quotient is not None

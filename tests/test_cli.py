@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -306,18 +307,38 @@ def test_optimize_general_dims_config_rescores(tmp_path, capsys):
     assert abs(float(report_of(capsys)["exact_score"]) - best) <= 1e-10
 
 
-@pytest.mark.parametrize("command", ["simulate", "optimize", "dilate"])
+_PROCESS_PAYLOADS = {
+    "dilate": {"gamma": [[0.5, 0.5], [0.5, 0.5]]},
+    "divide": {"gamma_total": [[0.5, 0.5], [0.5, 0.5]], "gamma_first": [[1.0, 0.0], [0.0, 1.0]]},
+    "qcor": {"u_total": [[1.0, 0.0], [0.0, 1.0]], "u_first": [[1.0, 0.0], [0.0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "dilate", "divide", "qcor"])
 def test_negative_seed_is_invariant_violation(tmp_path, capsys, command):
     out = str(tmp_path / "out")
     argv = {
         "simulate": ["simulate", "--config", write_json(tmp_path / "s.json", {"kind": "ns_box", "e": 0.5}),
                      "--n", "4", "--out", out],
         "optimize": ["optimize", "--restarts", "1", "--out", out],
-        "dilate": ["process", "--tool", "dilate",
-                   "--config", write_json(tmp_path / "m.json", {"gamma": [[0.5, 0.5], [0.5, 0.5]]})],
-    }[command]
+    }.get(command) or ["process", "--tool", command,
+                       "--config", write_json(tmp_path / "m.json", _PROCESS_PAYLOADS[command])]
     assert main(argv + ["--seed", "-1"]) == 3
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tool", sorted(_PROCESS_PAYLOADS))
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--seed", str(2**64)], "seed must be in [0, 2**64), got 18446744073709551616"),
+     (["--restarts", "0"], "max_restarts must be positive"),
+     (["--tol", "0"], "tol must be finite and positive, got 0.0")],
+    ids=["seed_2_64", "restarts_0", "tol_0"],
+)
+def test_process_checks_every_flag_for_every_tool(tmp_path, capsys, tool, flags, message):
+    cfg = write_json(tmp_path / "m.json", _PROCESS_PAYLOADS[tool])
+    assert main(["process", "--tool", tool, "--config", cfg] + flags) == 3
+    assert capsys.readouterr() == ("", f"invariant violation: {message}\n")
 
 
 def test_optimize_nan_tol_is_invariant_violation(tmp_path, capsys):
@@ -509,6 +530,15 @@ def test_overflowing_unitary_check_prints_only_the_violation(tmp_path):
     assert run.returncode == 3
     assert run.stdout == ""
     assert run.stderr == "invariant violation: a0 is not unitary within 1e-10 (deviation inf)\n"
+
+
+def test_readme_library_block_runs():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        (block,) = re.findall(r"^```python\n(.*?)^```", fh.read(), re.S | re.M)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 SIMULATE_CONFIGS = {

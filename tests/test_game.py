@@ -14,7 +14,6 @@ from chshkit.game import (
     Deterministic,
     ExplicitBox,
     NSBox,
-    RoundRecord,
     SharedRandomness,
     UNIFORM_INPUTS,
     box_of_strategy,
@@ -236,12 +235,6 @@ def test_explicit_box_strategy_roundtrips_table():
     assert np.allclose(box_of_strategy(ExplicitBox(table)), table)
 
 
-def test_round_record_win_flag_is_checked():
-    RoundRecord(0, 1, 1, 1, 0, True)
-    with pytest.raises(ValueError):
-        RoundRecord(0, 1, 1, 1, 0, False)
-
-
 def test_simulation_is_deterministic():
     a = simulate_rounds(NSBox(0.5), 5000, seed=42)
     b = simulate_rounds(NSBox(0.5), 5000, seed=42)
@@ -264,10 +257,8 @@ def test_simulation_of_perfect_box_always_wins():
 
 def test_simulation_records_and_summary_consistent():
     result = simulate_rounds(Deterministic((0, 0), (0, 0)), 64, seed=1)
-    records = list(result)
-    assert len(records) == 64
-    for rec in records[:10]:
-        assert rec.win == ((rec.q ^ rec.r) == rec.x * rec.y)
+    assert len(result.win) == 64
+    assert np.array_equal(result.win, (result.q ^ result.r) == result.x * result.y)
     assert result.empirical_score == pytest.approx(2 * result.empirical_win_rate - 1)
 
 
@@ -314,9 +305,6 @@ def test_sign_table_record_rows_and_round_records_follow_the_rule():
     for (x, y, q, r), won in WIN_TABLE.items():
         assert _SIGN[q, r, x, y] == (1.0 if won else -1.0)
         assert bytes(_ROW_TAILS[8 * x + 4 * y + 2 * q + r]).decode() == f",{x},{y},{q},{r},{int(won)}\n"
-        assert RoundRecord(0, x, y, q, r, won).win == won
-        with pytest.raises(ValueError, match="win flag"):
-            RoundRecord(0, x, y, q, r, not won)
 
 
 def test_simulate_rejects_a_non_integral_seed_and_keeps_an_integral_float():

@@ -10,10 +10,8 @@ from chshkit.stochastic import (
     DIVISION_TOL,
     as_stochastic_matrix,
     dilation_report,
-    divide,
     divide_report,
     evolve,
-    find_unitary_dilation,
     qcor,
     unistochastic_of,
 )
@@ -62,7 +60,7 @@ def test_evolve_preserves_normalization_and_positivity():
 
 def test_divide_by_itself_gives_identity():
     g = unistochastic_of(rotation(math.pi / 8))
-    assert np.allclose(divide(g, g), np.eye(2), atol=1e-10)
+    assert np.allclose(divide_report(g, g).quotient, np.eye(2), atol=1e-10)
 
 
 def test_divide_uniformizer_through_rotation_leg():
@@ -70,7 +68,7 @@ def test_divide_uniformizer_through_rotation_leg():
     g_first = unistochastic_of(rotation(math.pi / 8))
     quotient_oracle = UNIFORMIZER @ np.linalg.inv(g_first)
     assert np.allclose(quotient_oracle, UNIFORMIZER, atol=1e-12)
-    got = divide(UNIFORMIZER, g_first)
+    got = divide_report(UNIFORMIZER, g_first).quotient
     assert got is not None
     assert np.allclose(got, UNIFORMIZER, atol=1e-10)
 
@@ -85,7 +83,7 @@ def test_divide_identity_by_uniformizer_is_absent():
 
 def test_divide_through_singular_leg_when_feasible():
     # Both legs singular, but a stochastic quotient exists (itself again).
-    got = divide(UNIFORMIZER, UNIFORMIZER)
+    got = divide_report(UNIFORMIZER, UNIFORMIZER).quotient
     assert got is not None
     assert np.max(np.abs(got @ UNIFORMIZER - UNIFORMIZER)) <= DIVISION_TOL
 
@@ -95,7 +93,7 @@ def test_divide_rectangular_legs():
     quotient = random_stochastic(3, rng)[:, :2]  # 3 outcomes from 2 intermediates
     first = rng.dirichlet(np.ones(2), size=4).T  # 2 intermediates from 4 starts
     total = quotient @ first
-    got = divide(total, first)
+    got = divide_report(total, first).quotient
     assert got is not None
     assert got.shape == (3, 2)
     assert np.max(np.abs(got @ first - total)) <= DIVISION_TOL
@@ -154,7 +152,7 @@ def test_not_divisible_is_a_proof_for_an_invertible_first_leg(case):
 
 def test_divide_dimension_mismatch():
     with pytest.raises(ValueError):
-        divide(np.eye(2), np.eye(3))
+        divide_report(np.eye(2), np.eye(3))
 
 
 def test_divide_roundtrip_on_random_products():
@@ -164,7 +162,7 @@ def test_divide_roundtrip_on_random_products():
             a = random_stochastic(dim, rng)
             b = random_stochastic(dim, rng)
             total = a @ b
-            quotient = divide(total, b)
+            quotient = divide_report(total, b).quotient
             assert quotient is not None
             assert np.max(np.abs(quotient @ b - total)) <= DIVISION_TOL
             assert quotient.min() >= 0.0
@@ -200,13 +198,13 @@ def test_unistochastic_of_is_doubly_stochastic():
 
 
 def test_dilation_identity():
-    u = find_unitary_dilation(np.eye(3))
+    u = dilation_report(np.eye(3)).unitary
     assert u is not None
     assert np.max(np.abs(np.abs(u) ** 2 - np.eye(3))) <= 1e-8
 
 
 def test_dilation_uniformizer():
-    u = find_unitary_dilation(UNIFORMIZER, seed=1)
+    u = dilation_report(UNIFORMIZER, seed=1).unitary
     assert u is not None
     assert np.max(np.abs(np.abs(u) ** 2 - UNIFORMIZER)) <= 1e-8
 
@@ -216,7 +214,7 @@ def test_dilation_random_two_by_two_family():
     for k in range(25):
         a = rng.uniform(0.0, 1.0)
         g = np.array([[a, 1 - a], [1 - a, a]])
-        u = find_unitary_dilation(g, seed=k)
+        u = dilation_report(g, seed=k).unitary
         assert u is not None
         assert np.max(np.abs(np.abs(u) ** 2 - g)) <= 1e-8
 
@@ -249,7 +247,7 @@ def test_dilation_rejects_non_doubly_stochastic():
     # Column-stochastic but rows do not sum to one: rejected, not "absent".
     g = np.array([[1.0, 0.5], [0.0, 0.5]])
     with pytest.raises(ValueError):
-        find_unitary_dilation(g)
+        dilation_report(g)
 
 
 def test_empty_matrix_is_not_doubly_stochastic():
@@ -261,14 +259,14 @@ def test_dilation_recovers_unistochastic_inputs():
     rng = np.random.default_rng(19)
     for k, dim in enumerate((3, 3, 4)):
         g = unistochastic_of(haar_unitary(dim, rng))
-        u = find_unitary_dilation(g, seed=100 + k)
+        u = dilation_report(g, seed=100 + k).unitary
         assert u is not None
         assert np.max(np.abs(np.abs(u) ** 2 - g)) <= 1e-8
 
 
 def test_dilation_deterministic_given_seed():
-    u1 = find_unitary_dilation(UNIFORMIZER, seed=9)
-    u2 = find_unitary_dilation(UNIFORMIZER, seed=9)
+    u1 = dilation_report(UNIFORMIZER, seed=9).unitary
+    u2 = dilation_report(UNIFORMIZER, seed=9).unitary
     assert np.array_equal(u1, u2)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,10 @@ def test_setup_validation():
     with pytest.raises(ValueError):
         QuantumSetup(basis_state(4, 0), np.eye(2), np.eye(2), np.eye(2), np.eye(2),
                      alice_outcome=(0, 2))
+    with pytest.raises(ValueError, match=r"^alice_outcome must be 2 bits \(0 or 1\), got \(\)$"):
+        QuantumSetup(basis_state(4, 0), np.eye(2), np.eye(2), np.eye(2), np.eye(2), alice_outcome=())
+    with pytest.raises(ValueError, match=r"^bob_outcome must be 2 bits \(0 or 1\), got \(\)$"):
+        QuantumSetup(basis_state(4, 0), np.eye(2), np.eye(2), np.eye(2), np.eye(2), bob_outcome=[])
     with pytest.raises(ValueError, match=r"^a0 and a1 must share a dimension, got \(2, 2\) and \(3, 3"):
         QuantumSetup(basis_state(4, 0), np.eye(2), np.eye(3), np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match=r"^b0 and b1 must share a dimension, got \(2, 2\) and \(1, 1"):
@@ -215,9 +220,9 @@ def test_operator_score_matches_box_score():
 
 def test_score_with_state_override():
     setup = identity_setup()
-    assert score_of_setup(setup, basis_state(4, 1)) == pytest.approx(-0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        score_of_setup(setup, basis_state(2, 0))
+    assert score_of_setup(dataclasses.replace(setup, state=basis_state(4, 1))) == pytest.approx(-0.5, abs=1e-12)
+    with pytest.raises(ValueError, match=r"^state dimension 2 does not match joint dimension 4$"):
+        dataclasses.replace(setup, state=basis_state(2, 0))
 
 
 def test_optimize_reaches_the_ceiling():

@@ -183,7 +183,9 @@ def test_outcome_map_accepts_any_sequence(container):
     setup = _setup(alice_outcome=container([1, 0]), bob_outcome=container([0, 0]))
     assert setup.alice_outcome == (1, 0) and setup.bob_outcome == (0, 0)
     assert all(type(b) is int for b in setup.alice_outcome + setup.bob_outcome)
-    assert _setup(alice_outcome=container([])).alice_outcome == (0, 1)
+    with pytest.raises(ValueError, match=r"^alice_outcome must be 2 bits \(0 or 1\), got \(\)$"):
+        _setup(alice_outcome=container([]))  # empty is a map of no bits; only None is "not given"
+    assert _setup(alice_outcome=None).alice_outcome == (0, 1)
 
 
 #: Each strategy field holding bits, as a constructor of that field alone.
