@@ -159,11 +159,17 @@ def format_records(rounds, start: int = 0) -> str:
     comes first when ``start`` is 0.
 
     The rows are the text of the bytes :func:`_record_rows` writes, the
-    bytes ``simulate`` writes to its record file.
+    bytes ``simulate`` writes to its record file.  Every entry of the four
+    columns must be a bit, 0 or 1.
     """
     start = as_integer(start, "start")
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
+    for name in "xyqr":
+        column = np.asarray(getattr(rounds, name))
+        off = column[(column != 0) & (column != 1)]
+        if off.size:
+            raise ValueError(f"column {name} must hold bits (0 or 1), got {off[0].item()!r}")
     count = len(rounds.x)
     buf = np.empty(count * _row_bytes(start + count - 1), dtype=np.uint8)
     rows = str(_record_rows(rounds, start, buf), "ascii")  # decodes the buffer without a bytes copy

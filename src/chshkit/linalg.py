@@ -173,7 +173,8 @@ def as_state_vectors(v, name: str = "state") -> np.ndarray:
     if not np.isfinite(a).all():
         where = _first(~np.isfinite(a).all(axis=-1), name)[1]
         raise ValueError(f"{where} contains non-finite entries")
-    norm_sq = np.sum(np.abs(a) ** 2, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, not a warning
+        norm_sq = np.sum(np.abs(a) ** 2, axis=-1)
     bad = ~(np.abs(norm_sq - 1.0) <= STATE_NORM_TOL)
     if bad.any():
         i, where = _first(bad, name)
@@ -220,7 +221,8 @@ def _unitary_deviation(a: np.ndarray) -> np.ndarray:
 
 def _as_hermitian(h, name: str) -> np.ndarray:
     a = _as_square(h, name)
-    dev = float(np.max(np.abs(a - a.conj().T)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, not a warning
+        dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL:g} (deviation {dev:.3e})")
     return a

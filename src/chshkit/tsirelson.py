@@ -242,20 +242,14 @@ def random_setup(dims: tuple[int, int], rng: np.random.Generator) -> QuantumSetu
 # --------------------------------------------------------------------------
 
 
-def _best_response(m: np.ndarray, outcome_map: tuple[int, ...], diagonal: bool):
+def _best_response(m: np.ndarray, outcome_map: tuple[int, ...]):
     """Local unitary whose observable maximizes ``Tr(A m)``, and that maximum.
 
     The observable keeps the side's outcome map, so its -1 multiplicity is the
     number of configurations reporting 1; those take the eigenvectors of ``m``
-    with the lowest eigenvalues, the rest the highest.  With ``diagonal`` only
-    the diagonal of ``m`` is used and the observable comes out diagonal.  ``m``
-    may be a stack of matrices; the unitaries and maxima stack the same way.
+    with the lowest eigenvalues, the rest the highest.  ``m`` may be a stack
+    of matrices; the unitaries and maxima stack the same way.
     """
-    if diagonal:
-        k = np.arange(m.shape[-1])
-        d = np.zeros_like(m)
-        d[..., k, k] = m[..., k, k]
-        m = d
     values, vectors = np.linalg.eigh(m)
     minus = sum(outcome_map)
     rows = [i for i, b in enumerate(outcome_map) if b] + [i for i, b in enumerate(outcome_map) if not b]
@@ -269,7 +263,7 @@ def _best_response(m: np.ndarray, outcome_map: tuple[int, ...], diagonal: bool):
 _MAX_ROUNDS = 1000
 
 
-def _seesaw_stack(a, b, alice, bob, tol: float, restrict_classical: bool):
+def _seesaw_stack(a, b, alice, bob, tol: float):
     """Alternate closed-form best responses of the state, Alice and Bob, for a
     stack of restarts in lock step.
 
@@ -285,20 +279,18 @@ def _seesaw_stack(a, b, alice, bob, tol: float, restrict_classical: bool):
     a, b = a.copy(), b.copy()
     n, da, db = a.shape[0], a.shape[-1], b.shape[-1]
     state = np.zeros((n, da * db), dtype=complex)
-    state[:, 0] = 1.0  # stays pinned under restrict_classical
     rounds = np.full(n, _MAX_ROUNDS)
     active = np.arange(n)
     best = np.full(n, -math.inf)
     sa = _local_dichotomic(a, alice)
     for round_ in range(1, _MAX_ROUNDS + 1):
         sb = _local_dichotomic(b[active], bob)
-        if not restrict_classical:
-            state[active] = np.linalg.eigh(_chsh(sa, sb))[1][..., -1]
+        state[active] = np.linalg.eigh(_chsh(sa, sb))[1][..., -1]
         psi = state[active].reshape(-1, 1, da, db)  # broadcast over the settings axis
         psi_h = _T(psi.conj())
-        a_new = _best_response(psi @ _T(_sum_difference(sb)) @ psi_h, alice, restrict_classical)[0]
+        a_new = _best_response(psi @ _T(_sum_difference(sb)) @ psi_h, alice)[0]
         sa = _local_dichotomic(a_new, alice)
-        b_new, maxima = _best_response(_T(psi_h @ _sum_difference(sa) @ psi), bob, restrict_classical)
+        b_new, maxima = _best_response(_T(psi_h @ _sum_difference(sa) @ psi), bob)
         a[active], b[active] = a_new, b_new
         score = (maxima[:, 0] + maxima[:, 1]) / 4.0
         going = ~(score - best < tol)
@@ -341,7 +333,6 @@ def optimize(
     restarts: int = 100,
     seed: int = 0,
     tol: float = 1e-9,
-    restrict_classical: bool = False,
 ) -> OptimizeResult:
     """Maximize the game score over shared states and local unitaries by seesaw.
 
@@ -361,11 +352,6 @@ def optimize(
     gets the checks a ``QuantumSetup`` makes; a failure raises their
     ``ValueError``, naming the field and the restart's index within its
     block.
-
-    With ``restrict_classical`` the state is pinned to the product
-    configuration ``|0,0>`` and the observables to diagonal matrices, which
-    confines the search to strategies a classical shared-randomness pair
-    could play.
     """
     da, db = as_dims(dims)
     if da < 2 or db < 2:
@@ -385,7 +371,7 @@ def optimize(
         rngs = [substream(seed, k) for k in range(lo, min(lo + _RESTART_BLOCK, restarts))]
         state, a, b = _draw_starts((da, db), rngs)
         _assert_restarts(state, a, b)
-        state, a, b, rounds = _seesaw_stack(a, b, alice, bob, tol, restrict_classical)
+        state, a, b, rounds = _seesaw_stack(a, b, alice, bob, tol)
         _assert_restarts(state, a, b)
         sa, sb = _local_dichotomic(a, alice), _local_dichotomic(b, bob)
         scores = _quarter_expectation(_chsh(sa, sb), state).tolist()

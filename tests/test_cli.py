@@ -17,6 +17,7 @@ from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
     CHUNK_ROUNDS,
     NSBox,
+    SimulationChunk,
     as_correlation_box,
     box_of_strategy,
     expected_score,
@@ -29,6 +30,15 @@ from chshkit.tsirelson import TSIRELSON_SCORE, canonical_setup
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def child_env():
+    """The environment for a child interpreter: this checkout's package first on
+    ``PYTHONPATH``, and a ``RuntimeWarning`` made an error, as ``pyproject.toml``
+    makes it for in-process runs."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                PYTHONWARNINGS="error::RuntimeWarning")
 
 
 def report_of(capsys):
@@ -501,8 +511,7 @@ def test_report_keys_and_order(tmp_path, capsys, case):
 
 
 def test_python_dash_m_entry_point_returns_exit_codes(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
 
     def run(payload):
         cfg = write_json(tmp_path / "c.json", payload)
@@ -519,24 +528,31 @@ def test_python_dash_m_entry_point_returns_exit_codes(tmp_path):
     assert bad.stderr.startswith("parse error:")
 
 
-def test_overflowing_unitary_check_prints_only_the_violation(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("a0", [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]],
+         "a0 is not unitary within 1e-10 (deviation inf)"),
+        ("state", [[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [0.7071067811865476, 0.0]],
+         "state is not normalized: sum of squared moduli is inf"),
+    ],
+    ids=["a0", "state"],
+)
+def test_overflowing_unitary_check_prints_only_the_violation(tmp_path, field, value, message):
     config = strategy_config(canonical_setup())
-    config["a0"] = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+    config[field] = value
     cfg = write_json(tmp_path / "c.json", config)
     run = subprocess.run([sys.executable, "-m", "chshkit", "score", "--config", cfg],
-                         capture_output=True, text=True, env=env, timeout=60)
+                         capture_output=True, text=True, env=child_env(), timeout=60)
     assert run.returncode == 3
     assert run.stdout == ""
-    assert run.stderr == "invariant violation: a0 is not unitary within 1e-10 (deviation inf)\n"
+    assert run.stderr == f"invariant violation: {message}\n"
 
 
 def test_readme_library_block_runs():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
         (block,) = re.findall(r"^```python\n(.*?)^```", fh.read(), re.S | re.M)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     run = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120)
     assert (run.returncode, run.stderr) == (0, "")
 
@@ -633,6 +649,15 @@ def test_format_records_reads_start_as_a_non_negative_integer():
     assert format_records(chunk, 2.0) == format_records(chunk, 2)
 
 
+@pytest.mark.parametrize("value", [-1, 2])
+def test_format_records_reads_each_column_as_bits(value):
+    zero = np.zeros(1, dtype=np.int8)
+    for name in "xyqr":
+        columns = {column: zero for column in "xyqr"} | {name: np.array([value], dtype=np.int8)}
+        with pytest.raises(ValueError, match=rf"^column {name} must hold bits \(0 or 1\), got {value}$"):
+            format_records(SimulationChunk(0, **columns))
+
+
 @pytest.mark.parametrize("seed", [3, 2**40 + 1])
 @pytest.mark.parametrize("n", [100_005, 1_000_003])
 def test_simulate_file_is_format_records_of_each_chunk(tmp_path, capsys, n, seed):
@@ -723,8 +748,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux only")
 def test_simulate_peak_memory_does_not_grow_with_n(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     cfg = simulate_config(tmp_path, "ns_box")
 
     def peak_kb(n):
@@ -771,8 +795,7 @@ sys.exit(main(sys.argv[1:]))
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 @pytest.mark.parametrize("name, n, seed", [("quantum", 10**6, 7), ("ns_box", 65537, 0)])
 def test_simulate_on_one_cpu_draws_inline_and_writes_the_pinned_outputs(tmp_path, name, n, seed):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chshkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     out = tmp_path / "r.csv"
     argv = [sys.executable, "-c", ONE_CPU_LAUNCHER, "simulate", "--config", simulate_config(tmp_path, name),
             "--n", str(n), "--seed", str(seed), "--out", str(out)]

@@ -332,6 +332,15 @@ def test_dephase_and_spectral_norm_share_one_hermitian_check():
             check(np.ones((2, 3)))
 
 
+def test_hermitian_check_reports_an_overflowing_deviation_without_a_warning():
+    # a - a^dag overflows to inf; the RuntimeWarning filter makes a leak fail here
+    huge = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    for check, name in ((dephase, "rho"), (spectral_norm, "h")):
+        with pytest.raises(ValueError) as excinfo:
+            check(huge)
+        assert str(excinfo.value) == f"{name} is not Hermitian within 1e-10 (deviation inf)"
+
+
 def test_is_unitary_and_assert_unitary_share_one_check():
     near = rotation(0.4) * (1 + 2e-11)  # Gram deviation 4e-11, inside the default tolerance
     far = rotation(0.4) * 1.001

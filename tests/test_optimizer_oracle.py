@@ -47,9 +47,7 @@ def oracle_chsh(sa0, sa1, sb0, sb1):
     return np.kron(sa0, sb0 + sb1) + np.kron(sa1, sb0 - sb1)
 
 
-def oracle_best_response(m, outcome_map, diagonal):
-    if diagonal:
-        m = np.diag(np.diag(m))
+def oracle_best_response(m, outcome_map):
     values, vectors = np.linalg.eigh(m)
     minus = sum(outcome_map)
     rows = [i for i, b in enumerate(outcome_map) if b] + [i for i, b in enumerate(outcome_map) if not b]
@@ -58,28 +56,19 @@ def oracle_best_response(m, outcome_map, diagonal):
     return u, float(values[minus:].sum() - values[:minus].sum())
 
 
-def oracle_seesaw(setup, tol, restrict_classical):
+def oracle_seesaw(setup, tol):
     da, db = setup.dim_a, setup.dim_b
     alice, bob = setup.alice_outcome, setup.bob_outcome
     a, b = (setup.a0, setup.a1), (setup.b0, setup.b1)
     sa0, sa1 = (oracle_local(u, alice) for u in a)
-    state = np.zeros(da * db, dtype=complex)
-    state[0] = 1.0
     best = -math.inf
     for rounds in range(1, _MAX_ROUNDS + 1):
         sb0, sb1 = (oracle_local(u, bob) for u in b)
-        if not restrict_classical:
-            state = np.linalg.eigh(oracle_chsh(sa0, sa1, sb0, sb1))[1][:, -1]
+        state = np.linalg.eigh(oracle_chsh(sa0, sa1, sb0, sb1))[1][:, -1]
         psi = state.reshape(da, db)
-        a = tuple(
-            oracle_best_response(psi @ c.T @ psi.conj().T, alice, restrict_classical)[0]
-            for c in (sb0 + sb1, sb0 - sb1)
-        )
+        a = tuple(oracle_best_response(psi @ c.T @ psi.conj().T, alice)[0] for c in (sb0 + sb1, sb0 - sb1))
         sa0, sa1 = (oracle_local(u, alice) for u in a)
-        responses = [
-            oracle_best_response((psi.conj().T @ d @ psi).T, bob, restrict_classical)
-            for d in (sa0 + sa1, sa0 - sa1)
-        ]
+        responses = [oracle_best_response((psi.conj().T @ d @ psi).T, bob) for d in (sa0 + sa1, sa0 - sa1)]
         b = tuple(u for u, _ in responses)
         score = sum(value for _, value in responses) / 4.0
         if score - best < tol:
@@ -95,11 +84,11 @@ def oracle_score(setup):
     return (complex(psi.conj() @ (oracle_chsh(sa0, sa1, sb0, sb1) @ psi)) / 4.0).real
 
 
-def oracle_optimize(dims, restarts, seed, tol=1e-9, restrict_classical=False):
+def oracle_optimize(dims, restarts, seed, tol=1e-9):
     best, best_score, scores, rounds = None, -math.inf, [], []
     for restart in range(restarts):
         start = oracle_random_setup(dims, substream(seed, restart))
-        setup, ran = oracle_seesaw(start, tol, restrict_classical)
+        setup, ran = oracle_seesaw(start, tol)
         score = oracle_score(setup)
         scores.append(score)
         rounds.append(ran)
@@ -118,17 +107,12 @@ def assert_same_setup(got, want):
 # At the default tol every restart here stops after two rounds; at 1e-15 some
 # run a third, so restarts of one block freeze at different rounds.
 @pytest.mark.parametrize("tol", [1e-9, 1e-15])
-@pytest.mark.parametrize("restrict_classical", [False, True])
 @pytest.mark.parametrize("dims", DIMS)
-def test_batched_optimize_matches_sequential_oracle_exactly(dims, restrict_classical, tol):
+def test_batched_optimize_matches_sequential_oracle_exactly(dims, tol):
     restarts = _RESTART_BLOCK + 5  # crosses a block boundary
     for seed in (3, 2**64 - 1):
-        result = optimize(
-            dims, restarts=restarts, seed=seed, tol=tol, restrict_classical=restrict_classical
-        )
-        setup, score, scores, rounds = oracle_optimize(
-            dims, restarts, seed, tol, restrict_classical
-        )
+        result = optimize(dims, restarts=restarts, seed=seed, tol=tol)
+        setup, score, scores, rounds = oracle_optimize(dims, restarts, seed, tol)
         assert result.restart_scores == scores
         assert result.restart_rounds == rounds
         assert result.score == score
@@ -162,9 +146,9 @@ def test_each_side_takes_one_best_response_call_per_round(monkeypatch):
     calls = []
     best_response = tsirelson._best_response
 
-    def counted(m, outcome_map, diagonal):
+    def counted(m, outcome_map):
         calls.append(m.shape)
-        return best_response(m, outcome_map, diagonal)
+        return best_response(m, outcome_map)
 
     monkeypatch.setattr(tsirelson, "_best_response", counted)
     monkeypatch.setattr(tsirelson, "_MAX_ROUNDS", 1)
@@ -243,8 +227,8 @@ def test_the_first_bad_start_of_a_later_block_is_named(monkeypatch, bad):
 def test_block_checks_raise_on_a_bad_seesaw_result(monkeypatch):
     best_response = tsirelson._best_response
 
-    def drifting(m, outcome_map, diagonal):
-        u, value = best_response(m, outcome_map, diagonal)
+    def drifting(m, outcome_map):
+        u, value = best_response(m, outcome_map)
         return u * (1.0 + 1e-6), value
 
     monkeypatch.setattr(tsirelson, "_best_response", drifting)

@@ -1,7 +1,8 @@
 """Property-based tests: config round-trips, the two quantum score routes,
-qcor column sums, the CLI's exit codes on fuzzed configs, the chunk
-sampler and record formatter against their per-row oracles, and the
-no-signaling witness against its per-entry loop."""
+the classical ceiling on product states, qcor column sums, the CLI's exit
+codes on fuzzed configs, the chunk sampler and record formatter against
+their per-row oracles, and the no-signaling witness against its per-entry
+loop."""
 
 import contextlib
 import dataclasses
@@ -35,9 +36,9 @@ from chshkit.game import (
     ns_box,
     signaling_witness,
 )
-from chshkit.linalg import haar_unitary, substream
+from chshkit.linalg import basis_state, haar_unitary, substream
 from chshkit.stochastic import qcor
-from chshkit.tsirelson import canonical_setup, random_setup, score_of_setup
+from chshkit.tsirelson import MAX_JOINT_DIM, canonical_setup, random_setup, score_of_setup
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -61,8 +62,8 @@ def explicit_boxes(draw):
 
 
 @st.composite
-def quantum_setups(draw):
-    da, db = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)]))
+def quantum_setups(draw, dims=st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)])):
+    da, db = draw(dims)
     setup = random_setup((da, db), np.random.default_rng(draw(st.integers(0, 2**32))))
     outcome_map = lambda d: st.lists(bits, min_size=d, max_size=d).map(tuple)  # noqa: E731
     return dataclasses.replace(
@@ -99,6 +100,26 @@ def test_config_save_load_round_trip(workdir, strategy):
 @given(setup=quantum_setups())
 def test_box_route_matches_operator_route(setup):
     assert abs(expected_score(box_of_strategy(setup)) - score_of_setup(setup)) <= 1e-12
+
+
+#: Every pair of local dimensions within the joint cap.
+ALL_DIMS = [(da, db) for da in range(1, MAX_JOINT_DIM + 1) for db in range(1, MAX_JOINT_DIM // da + 1)]
+
+
+@st.composite
+def product_setups(draw):
+    """Haar-random setups whose state is one product configuration ``|i, j>``."""
+    setup = draw(quantum_setups(st.sampled_from(ALL_DIMS)))
+    n = setup.dim_a * setup.dim_b
+    return dataclasses.replace(setup, state=basis_state(n, draw(st.integers(0, n - 1))))
+
+
+@PROPERTY
+@given(setup=product_setups())
+def test_product_configurations_score_at_most_the_classical_ceiling(setup):
+    # The classical rung without a search: a product state gives a product box.
+    assert abs(expected_score(box_of_strategy(setup))) <= 0.5 + 1e-12
+    assert abs(score_of_setup(setup)) <= 0.5 + 1e-12
 
 
 @PROPERTY

@@ -241,12 +241,6 @@ def test_optimize_is_deterministic():
         assert np.array_equal(getattr(a.setup, name), getattr(b.setup, name))
 
 
-def test_optimize_restricted_to_classical_strategies():
-    result = optimize((2, 2), restarts=4, seed=21, restrict_classical=True)
-    assert result.score <= 0.5 + 1e-9
-    assert result.score == pytest.approx(0.5, abs=1e-12)
-
-
 def test_optimize_higher_dimensions_respect_ceiling():
     result = optimize((3, 2), restarts=1, seed=2, tol=1e-6)
     assert abs(result.score) <= TSIRELSON_SCORE + 1e-9
@@ -266,15 +260,6 @@ def test_optimize_reaches_the_ceiling_in_higher_dimensions(dims):
     result = optimize(dims, restarts=2, seed=31)
     assert abs(result.score - TSIRELSON_SCORE) <= 1e-6
     assert abs(score_of_setup(result.setup) - result.score) <= 1e-12
-
-
-def test_optimize_restricted_to_classical_strategies_in_higher_dimensions():
-    result = optimize((3, 3), restarts=3, seed=4, restrict_classical=True)
-    assert result.score == pytest.approx(0.5, abs=1e-12)
-    for side in ("a", "b"):
-        for setting in (0, 1):
-            obs = dichotomic(side, setting, result.setup)
-            assert np.array_equal(obs, np.diag(np.diag(obs)))
 
 
 def test_optimize_keeps_default_outcome_maps():
