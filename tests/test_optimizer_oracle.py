@@ -105,18 +105,19 @@ def assert_same_setup(got, want):
 
 
 # At the default tol every restart here stops after two rounds; at 1e-15 some
-# run a third, so restarts of one block freeze at different rounds.
+# run a third, so restarts of one block freeze at different rounds.  The seeds
+# are both ends of the seed range and one between.
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
 @pytest.mark.parametrize("tol", [1e-9, 1e-15])
 @pytest.mark.parametrize("dims", DIMS)
-def test_batched_optimize_matches_sequential_oracle_exactly(dims, tol):
+def test_batched_optimize_matches_sequential_oracle_exactly(dims, tol, seed):
     restarts = _RESTART_BLOCK + 5  # crosses a block boundary
-    for seed in (3, 2**64 - 1):
-        result = optimize(dims, restarts=restarts, seed=seed, tol=tol)
-        setup, score, scores, rounds = oracle_optimize(dims, restarts, seed, tol)
-        assert result.restart_scores == scores
-        assert result.restart_rounds == rounds
-        assert result.score == score
-        assert_same_setup(result.setup, setup)
+    result = optimize(dims, restarts=restarts, seed=seed, tol=tol)
+    setup, score, scores, rounds = oracle_optimize(dims, restarts, seed, tol)
+    assert result.restart_scores == scores
+    assert result.restart_rounds == rounds
+    assert result.score == score
+    assert_same_setup(result.setup, setup)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
