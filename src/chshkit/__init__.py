@@ -5,112 +5,84 @@ operator route to the quantum score ceiling, and a reproducible Monte Carlo
 round simulator.
 """
 
-from .causality import (
-    causally_independent,
-    influences,
-    joint_from_unitary,
-    marginal_q,
-    marginal_r,
-    non_interacting,
-)
-from .game import (
-    Deterministic,
-    ExplicitBox,
-    NSBox,
-    SharedRandomness,
-    SimulationChunk,
-    SimulationResult,
-    Strategy,
-    box_of_strategy,
-    enumerate_deterministic,
-    expected_score,
-    is_no_signaling,
-    ns_box,
-    simulate_chunks,
-    simulate_rounds,
-    win_probability,
-)
-from .linalg import (
-    amplitude_representation,
-    dephase,
-    dictionary_prob,
-    is_unitary,
-    projector,
-    rotation,
-    tensor,
-)
-from .stochastic import (
-    DilationReport,
-    DivisionReport,
-    dilation_report,
-    divide_report,
-    evolve,
-    qcor,
-    unistochastic_of,
-)
-from .tsirelson import (
-    CHSH_OPERATOR_CEILING,
-    TSIRELSON_SCORE,
-    OptimizeResult,
-    PreparationUnitary,
-    QuantumSetup,
-    canonical_setup,
-    chsh_operator,
-    dichotomic,
-    optimize,
-    outcome_observable,
-    prepare_state,
-    score_of_setup,
-)
+import importlib
+
+#: Each public name, by the module that defines it.  Names resolve on first
+#: use (PEP 562), so ``import chshkit`` alone imports no numpy and the
+#: command line can size numpy's BLAS pool before numpy starts it.
+_EXPORTS = {
+    "causality": (
+        "causally_independent",
+        "influences",
+        "joint_from_unitary",
+        "marginal_q",
+        "marginal_r",
+        "non_interacting",
+    ),
+    "game": (
+        "Deterministic",
+        "ExplicitBox",
+        "NSBox",
+        "SharedRandomness",
+        "SimulationChunk",
+        "SimulationResult",
+        "Strategy",
+        "box_of_strategy",
+        "enumerate_deterministic",
+        "expected_score",
+        "is_no_signaling",
+        "ns_box",
+        "simulate_chunks",
+        "simulate_rounds",
+        "win_probability",
+    ),
+    "linalg": (
+        "amplitude_representation",
+        "dephase",
+        "dictionary_prob",
+        "is_unitary",
+        "projector",
+        "rotation",
+        "tensor",
+    ),
+    "stochastic": (
+        "DilationReport",
+        "DivisionReport",
+        "dilation_report",
+        "divide_report",
+        "evolve",
+        "qcor",
+        "unistochastic_of",
+    ),
+    "tsirelson": (
+        "CHSH_OPERATOR_CEILING",
+        "TSIRELSON_SCORE",
+        "OptimizeResult",
+        "PreparationUnitary",
+        "QuantumSetup",
+        "canonical_setup",
+        "chsh_operator",
+        "dichotomic",
+        "optimize",
+        "outcome_observable",
+        "prepare_state",
+        "score_of_setup",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHSH_OPERATOR_CEILING",
-    "Deterministic",
-    "DilationReport",
-    "DivisionReport",
-    "ExplicitBox",
-    "NSBox",
-    "OptimizeResult",
-    "PreparationUnitary",
-    "QuantumSetup",
-    "SharedRandomness",
-    "SimulationChunk",
-    "SimulationResult",
-    "Strategy",
-    "TSIRELSON_SCORE",
-    "amplitude_representation",
-    "box_of_strategy",
-    "canonical_setup",
-    "causally_independent",
-    "chsh_operator",
-    "dephase",
-    "dichotomic",
-    "dictionary_prob",
-    "dilation_report",
-    "divide_report",
-    "enumerate_deterministic",
-    "evolve",
-    "expected_score",
-    "influences",
-    "is_no_signaling",
-    "is_unitary",
-    "joint_from_unitary",
-    "marginal_q",
-    "marginal_r",
-    "non_interacting",
-    "ns_box",
-    "optimize",
-    "outcome_observable",
-    "prepare_state",
-    "projector",
-    "qcor",
-    "rotation",
-    "score_of_setup",
-    "simulate_chunks",
-    "simulate_rounds",
-    "tensor",
-    "unistochastic_of",
-    "win_probability",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -159,12 +159,15 @@ def format_records(rounds, start: int = 0) -> str:
     comes first when ``start`` is 0.
 
     The rows are the text of the bytes :func:`_record_rows` writes, the
-    bytes ``simulate`` writes to its record file.  Every entry of the four
-    columns must be a bit, 0 or 1.
+    bytes ``simulate`` writes to its record file.  The four columns must
+    have one length, and every entry must be a bit, 0 or 1.
     """
     start = as_integer(start, "start")
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
+    lengths = [len(getattr(rounds, name)) for name in "xyqr"]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns x, y, q, r must have one length, got {', '.join(map(str, lengths))}")
     for name in "xyqr":
         column = np.asarray(getattr(rounds, name))
         off = column[(column != 0) & (column != 1)]
@@ -224,12 +227,13 @@ def cmd_optimize(args) -> dict:
     result = optimize(dims=dims, restarts=args.restarts, seed=args.seed, tol=args.tol)
     save_strategy(result.setup, args.out)
     trace_path = args.out + ".trace.csv"
+    rows = ["restart,score,best_so_far\n"]
+    best = -np.inf
+    for i, score in enumerate(result.restart_scores):
+        best = max(best, score)
+        rows.append(f"{i},{score:.17g},{best:.17g}\n")
     with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write("restart,score,best_so_far\n")
-        best = -np.inf
-        for i, score in enumerate(result.restart_scores):
-            best = max(best, score)
-            fh.write(f"{i},{score:.17g},{best:.17g}\n")
+        fh.write("".join(rows))
     return {
         "best_score": result.score,
         "best_win_probability": win_probability(result.score),

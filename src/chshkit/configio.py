@@ -189,9 +189,9 @@ def strategy_config(strategy: Strategy) -> dict:
 
 
 def save_strategy(strategy: Strategy, path) -> None:
+    text = json.dumps(strategy_config(strategy), indent=2) + "\n"  # one write, not one per token
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(strategy_config(strategy), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_process_input(path, fields: dict[str, str]) -> dict[str, np.ndarray]:

@@ -316,6 +316,8 @@ def _simulate_chunk(cum: np.ndarray, seed: int, chunk_index: int, count: int):
     columns of ``cum`` are compared, one 1-D threshold gather each: the last
     is 1.0, which no draw in [0, 1) reaches.
     """
+    # A fresh generator, not a re-keyed one: chunks may be drawn on the worker
+    # thread, and ~10 us is little beside a ~2.4 ms chunk.
     u = substream(seed, chunk_index).random((2, count))
     setting = (u[0] * 4.0).astype(np.int8)  # u <= 1 - 2**-53 and * 4.0 is exact: at most 3
     index = setting.astype(np.intp)

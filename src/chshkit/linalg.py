@@ -39,12 +39,41 @@ RESTART_BLOCK = 64
 def substream(seed: int, k: int) -> np.random.Generator:
     """Counter-based generator for substream ``k`` of ``seed``.
 
-    Every seeded routine draws its randomness here, keyed by ``(seed, k)``
-    for its own counter ``k`` (a chunk or a restart), so a result depends
-    only on the seed and never on how the work is scheduled.
+    Every seeded routine draws its randomness from a Philox generator keyed
+    by ``[seed, k]`` for its own counter ``k`` (a chunk or a restart), so a
+    result depends only on the seed and never on how the work is scheduled.
+    This is the one-key case of :class:`Substreams`, which writes that key;
+    the generator is the caller's own.
     """
-    key = np.array([as_seed(seed), k], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(iter(Substreams(seed, range(k, k + 1))))
+
+
+class Substreams:
+    """Substreams ``k`` of ``seed`` for each ``k`` of ``ks`` in order: a sized
+    sequence of generators, each drawing what ``substream(seed, k)`` draws.
+
+    One pass makes one ``Philox`` and one ``Generator`` and re-keys them for
+    each ``k`` (counter zeroed, key ``[seed, k]``, buffer emptied).  A
+    fresh ``Philox`` draws 128 bits of OS entropy that its key then
+    replaces; a re-key draws none.  Each generator a pass yields is valid
+    only until the next is taken.  Nothing is shared between passes or
+    instances, so calls in two threads never share generator state.
+    """
+
+    def __init__(self, seed: int, ks: range):
+        self._seed, self._ks = as_seed(seed), ks
+
+    def __len__(self) -> int:
+        return len(self._ks)
+
+    def __iter__(self):
+        bits = np.random.Philox(key=[0, 0])  # a key skips deriving a state from the OS entropy
+        rng = np.random.Generator(bits)
+        for k in self._ks:
+            bits.state = {"bit_generator": "Philox",
+                          "state": {"counter": [0, 0, 0, 0], "key": [self._seed, k]},
+                          "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def as_integer(value, name: str) -> int:

@@ -15,11 +15,11 @@ import numpy as np
 from .linalg import (
     MAX_DIM,
     RESTART_BLOCK,
+    Substreams,
     as_integer,
     as_probabilities,
     as_tolerance,
     assert_unitary,
-    substream,
 )
 
 #: Division events are only ever defined up to a working precision; callers
@@ -126,7 +126,9 @@ def dilation_report(
     Alternating projection between the set of matrices with prescribed entry
     moduli ``sqrt(gamma)`` and the set of unitary matrices (via the polar
     factor of an SVD), restarted from fresh random phases.  Restart ``k``
-    draws its phases from a counter-based substream keyed by ``(seed, k)``.
+    draws its phases from a counter-based substream keyed by ``(seed, k)``;
+    a block draws them through one ``Substreams`` pass, one generator of its
+    own re-keyed per restart.
     ``gamma`` must pass the package's one probability rule on its columns
     and on its rows, whatever ``tol``, which is only the search's
     acceptance threshold: a unitary ``u`` is found once every entry of
@@ -168,7 +170,7 @@ def dilation_report(
     lo = 0
     while lo < max_restarts:
         hi = min(2 * lo + 1, lo + RESTART_BLOCK, max_restarts)
-        draws = np.stack([substream(seed, k).random(g.shape[1:]) for k in range(lo, hi)])
+        draws = np.stack([rng.random(g.shape[1:]) for rng in Substreams(seed, range(lo, hi))])
         m = roots * np.exp(2j * np.pi * draws)
         best = checkpoint = [np.inf] * (hi - lo)
         found = None

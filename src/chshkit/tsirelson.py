@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     RESTART_BLOCK as _RESTART_BLOCK,
+    Substreams,
     as_bits,
     as_dims,
     as_integer,
@@ -337,11 +338,12 @@ def optimize(
     """Maximize the game score over shared states and local unitaries by seesaw.
 
     Restart ``k`` starts from a random setup drawn from the substream keyed by
-    ``(seed, k)``.  Each round then takes three closed-form steps: the state
-    becomes the top eigenvector of the CHSH operator; each of Alice's
-    observables becomes the best response to her partial trace of the state
-    against Bob's combination ``B0 +- B1``; Bob's follow the same way against
-    ``A0 +- A1``.  Each side's two responses come from one stacked
+    ``(seed, k)``; a block draws its starts through one ``Substreams`` pass,
+    one generator of its own re-keyed per restart.  Each round then takes
+    three closed-form steps: the state becomes the top eigenvector of the
+    CHSH operator; each of Alice's observables becomes the best response to
+    her partial trace of the state against Bob's combination ``B0 +- B1``;
+    Bob's follow the same way against ``A0 +- A1``.  Each side's two responses come from one stacked
     eigendecomposition.  Rounds stop once one gains less than ``tol``.
     Restarts run in blocks of ``_RESTART_BLOCK`` (64) as stacked arrays
     through one seesaw kernel, so memory does not grow with ``restarts``;
@@ -368,7 +370,7 @@ def optimize(
     restart_scores: list[float] = []
     restart_rounds: list[int] = []
     for lo in range(0, restarts, _RESTART_BLOCK):
-        rngs = [substream(seed, k) for k in range(lo, min(lo + _RESTART_BLOCK, restarts))]
+        rngs = Substreams(seed, range(lo, min(lo + _RESTART_BLOCK, restarts)))
         state, a, b = _draw_starts((da, db), rngs)
         _assert_restarts(state, a, b)
         state, a, b, rounds = _seesaw_stack(a, b, alice, bob, tol)

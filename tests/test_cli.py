@@ -528,6 +528,69 @@ def test_python_dash_m_entry_point_returns_exit_codes(tmp_path):
     assert bad.stderr.startswith("parse error:")
 
 
+#: Imports the package in a fresh interpreter: no numpy, no change to the
+#: environment, and every exported name resolves.
+LAZY_IMPORT_CHECK = """
+import os, sys
+before = dict(os.environ)
+import chshkit
+assert "numpy" not in sys.modules, "import chshkit imported numpy"
+assert dict(os.environ) == before, "import chshkit changed the environment"
+import chshkit.cli
+assert dict(os.environ) == before, "import chshkit.cli changed the environment"
+missing = [name for name in chshkit.__all__ if not hasattr(chshkit, name)]
+assert not missing, missing
+names = {}
+exec("from chshkit import *", names)
+assert set(chshkit.__all__) <= set(names)
+assert not hasattr(chshkit, "no_such_name")
+"""
+
+
+def test_import_chshkit_imports_no_numpy_and_sets_nothing():
+    env = {k: v for k, v in child_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    run = subprocess.run([sys.executable, "-c", LAZY_IMPORT_CHECK], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+def test_console_script_runs_the_python_dash_m_entry():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), encoding="utf-8") as fh:
+        (target,) = re.findall(r'^chshkit = "(.+)"$', fh.read(), re.M)
+    assert target == "chshkit.__main__:main"
+
+
+#: Runs ``python -m chshkit`` on its argv, as ``-m`` does, and prints the
+#: BLAS thread variable and the process's thread count as it exits.
+THREADS_LAUNCHER = """
+import atexit, os, runpy, sys
+
+def report():
+    task = "/proc/self/task"
+    count = len(os.listdir(task)) if os.path.isdir(task) else -1
+    print("threads", os.environ.get("OPENBLAS_NUM_THREADS"), count, "numpy" in sys.modules)
+
+atexit.register(report)
+sys.argv = ["chshkit"] + sys.argv[1:]
+runpy.run_module("chshkit", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("given, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+                                             ({"OMP_NUM_THREADS": "2"}, None)],
+                         ids=["unset", "openblas-2", "omp-2"])
+def test_command_line_defaults_to_one_blas_thread(tmp_path, given, expected):
+    env = {k: v for k, v in child_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    cfg = write_json(tmp_path / "c.json", strategy_config(canonical_setup()))
+    run = subprocess.run([sys.executable, "-c", THREADS_LAUNCHER, "score", "--config", cfg],
+                         capture_output=True, text=True, env=env | given, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    _, value, count, numpy_imported = run.stdout.splitlines()[-1].split()
+    assert value == str(expected) and numpy_imported == "True"
+    if expected == "1" and os.path.isdir("/proc/self/task"):
+        assert count == "1"
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -656,6 +719,14 @@ def test_format_records_reads_each_column_as_bits(value):
         columns = {column: zero for column in "xyqr"} | {name: np.array([value], dtype=np.int8)}
         with pytest.raises(ValueError, match=rf"^column {name} must hold bits \(0 or 1\), got {value}$"):
             format_records(SimulationChunk(0, **columns))
+
+
+def test_format_records_requires_columns_of_one_length():
+    two = np.zeros(2, dtype=np.int8)
+    for r in (np.ones(1, dtype=np.int8), np.ones(3, dtype=np.int8)):
+        lengths = f"2, 2, 2, {len(r)}"
+        with pytest.raises(ValueError, match=rf"^columns x, y, q, r must have one length, got {lengths}$"):
+            format_records(SimulationChunk(0, np.array([0, 1], dtype=np.int8), two, two, r))
 
 
 @pytest.mark.parametrize("seed", [3, 2**40 + 1])

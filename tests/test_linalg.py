@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 
 from chshkit.linalg import (
     MAX_DIM,
+    RESTART_BLOCK,
+    Substreams,
     amplitude_representation,
     as_dims,
     as_integer,
@@ -26,6 +30,7 @@ from chshkit.linalg import (
     substream,
     tensor,
 )
+from chshkit.stochastic import dilation_report
 from chshkit.tsirelson import optimize
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -319,6 +324,64 @@ def test_substream_rejects_out_of_range_seed():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError, match="seed"):
             substream(seed, 0)
+
+
+def draws(rng):
+    """A mix of draws that leaves a half-used 64-bit word (``has_uint32``) behind."""
+    return (rng.standard_normal(3).tolist(), rng.random(2).tolist(),
+            rng.integers(0, 1000, 3).tolist(), rng.integers(0, 2**32, 3, dtype=np.uint32).tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1])
+def test_substreams_draw_what_fresh_substreams_draw(seed):
+    ks = range(RESTART_BLOCK - 3, RESTART_BLOCK + 3)  # across a block boundary
+    rngs = Substreams(seed, ks)
+    assert len(rngs) == len(ks)
+    assert [draws(rng) for rng in rngs] == [draws(substream(seed, k)) for k in ks]
+    assert [draws(rng) for rng in rngs] == [draws(substream(seed, k)) for k in ks]  # a second pass
+    assert len(Substreams(seed, range(0))) == 0
+
+
+def test_substreams_reject_out_of_range_seed():
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            Substreams(seed, range(3))
+
+
+def test_concurrent_searches_return_what_sequential_ones_return():
+    """Each search draws from generators of its own: two threads searching at
+    once, switching as often as the interpreter can, get the sequential results."""
+    gamma = np.abs(haar_unitary(4, substream(5, 0))) ** 2
+
+    def searches(seeds):
+        out = []
+        for seed in seeds:
+            result = optimize((3, 3), restarts=70, seed=seed)
+            report = dilation_report(gamma, max_restarts=8, seed=seed)
+            out.append((result.score, result.restart_scores, result.restart_rounds, result.setup.state.tolist(),
+                        report.residual, report.unitary.tolist()))
+        return out
+
+    seeds = [range(1, 9), range(9, 17)]
+    sequential = [searches(s) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # one overlap interleaves the draws most of the time, not always
+            concurrent = [None] * len(seeds)
+
+            def run(i):
+                concurrent[i] = searches(seeds[i])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+            assert not any(thread.is_alive() for thread in threads)
+            assert concurrent == sequential
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_dephase_and_spectral_norm_share_one_hermitian_check():

@@ -290,6 +290,7 @@ def test_optimize_rejects_oversized_dims_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(tsirelson, "_draw_starts", no_draw)
     monkeypatch.setattr(tsirelson, "substream", no_draw)
+    monkeypatch.setattr(tsirelson, "Substreams", no_draw)
     with pytest.raises(ValueError, match="joint dimension 18"):
         optimize((3, 6), restarts=1)
 
