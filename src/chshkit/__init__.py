@@ -15,8 +15,6 @@ _EXPORTS = {
         "causally_independent",
         "influences",
         "joint_from_unitary",
-        "marginal_q",
-        "marginal_r",
         "non_interacting",
     ),
     "game": (
@@ -37,20 +35,14 @@ _EXPORTS = {
         "win_probability",
     ),
     "linalg": (
-        "amplitude_representation",
         "dephase",
-        "dictionary_prob",
-        "is_unitary",
-        "projector",
         "rotation",
-        "tensor",
     ),
     "stochastic": (
         "DilationReport",
         "DivisionReport",
         "dilation_report",
         "divide_report",
-        "evolve",
         "qcor",
         "unistochastic_of",
     ),
@@ -58,14 +50,10 @@ _EXPORTS = {
         "CHSH_OPERATOR_CEILING",
         "TSIRELSON_SCORE",
         "OptimizeResult",
-        "PreparationUnitary",
         "QuantumSetup",
         "canonical_setup",
         "chsh_operator",
-        "dichotomic",
         "optimize",
-        "outcome_observable",
-        "prepare_state",
         "score_of_setup",
     ),
 }

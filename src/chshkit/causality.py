@@ -44,16 +44,6 @@ def as_joint_conditional(table, name: str = "joint") -> np.ndarray:
     return as_probabilities(table, 4, (0, 1), name, "be normalized per initial configuration")
 
 
-def marginal_q(joint) -> np.ndarray:
-    """Mixed dynamics of the first subsystem: ``p[q_t, q_0, r_0]``."""
-    return as_joint_conditional(joint).sum(axis=1)
-
-
-def marginal_r(joint) -> np.ndarray:
-    """Mixed dynamics of the second subsystem: ``p[r_t, q_0, r_0]``."""
-    return as_joint_conditional(joint).sum(axis=0)
-
-
 def _remote_spread(table: np.ndarray, side: int) -> np.ndarray:
     """``max - min`` of one side's marginal over the remote start, as ``[outcome, own start]``.
 

@@ -1,7 +1,7 @@
 """Dense complex linear algebra for small configuration spaces.
 
 All operations are pure functions on plain numpy arrays: complex matrices,
-normalized state vectors, and real phase matrices.  Matrices are dense and
+normalized state vectors and probability tables.  Matrices are dense and
 deliberately tiny (dimension capped at ``MAX_DIM``); everything runs in
 double precision.
 """
@@ -86,15 +86,13 @@ def as_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def as_dims(values, name: str = "dims", what: str = "local dimensions") -> tuple[int, int]:
-    """Validate a pair of per-side integers, local dimensions by default:
-    exactly two integers, not truncated.  Errors call the pair ``name`` and
-    its entries ``what``."""
+def as_dims(values) -> tuple[int, int]:
+    """Validate a pair of local dimensions: exactly two integers, not truncated."""
     try:
         a, b = values
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be two {what}, got {values!r}") from None
-    return as_integer(a, f"{name}[0]"), as_integer(b, f"{name}[1]")
+        raise ValueError(f"dims must be two local dimensions, got {values!r}") from None
+    return as_integer(a, "dims[0]"), as_integer(b, "dims[1]")
 
 
 def as_seed(seed) -> int:
@@ -160,14 +158,6 @@ def _first(bad: np.ndarray, name: str) -> tuple[tuple[int, ...], str]:
     return i, f"{name}[{', '.join(map(str, i))}]" if i else name
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a dense complex matrix, checking shape and finiteness."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    return _checked_matrices(a, name)
-
-
 def _checked_matrices(a: np.ndarray, name: str) -> np.ndarray:
     """Size and finiteness checks for a complex matrix or a stack of them."""
     if max(a.shape[-2:]) > MAX_DIM:
@@ -211,19 +201,6 @@ def as_state_vectors(v, name: str = "state") -> np.ndarray:
     return a
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; dimensions multiply.
-
-    Composite indices are row-major throughout the package: the configuration
-    pair ``(i, j)`` maps to the flat index ``i * dim_b + j``.
-    """
-    am = as_complex_matrix(a, "a")
-    bm = as_complex_matrix(b, "b")
-    if am.shape[0] * bm.shape[0] > MAX_DIM or am.shape[1] * bm.shape[1] > MAX_DIM:
-        raise ValueError(f"tensor product would exceed the dimension cap {MAX_DIM}")
-    return np.kron(am, bm)
-
-
 def rotation(theta: float) -> np.ndarray:
     """Real 2x2 rotation by ``theta`` (orthogonal, hence unitary)."""
     c, s = np.cos(theta), np.sin(theta)
@@ -231,21 +208,14 @@ def rotation(theta: float) -> np.ndarray:
 
 
 def _as_square(m, name: str) -> np.ndarray:
-    a = as_complex_matrix(m, name)
+    """Coerce ``m`` to a dense complex square matrix, checking shape and finiteness."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
+    a = _checked_matrices(a, name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
-
-
-def _unitary_deviation(a: np.ndarray) -> np.ndarray:
-    """Largest entry of ``|a^dag a - 1|``, for one square matrix or each in a stack.
-
-    Non-finite entries, or entries whose products overflow, give a NaN or
-    infinite deviation, without a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = a.conj().swapaxes(-1, -2) @ a
-    return np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))
 
 
 def _as_hermitian(h, name: str) -> np.ndarray:
@@ -255,11 +225,6 @@ def _as_hermitian(h, name: str) -> np.ndarray:
     if dev > HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian within {HERMITIAN_TOL:g} (deviation {dev:.3e})")
     return a
-
-
-def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
-    """True iff ``u.conj().T @ u`` deviates from the identity by at most ``tol``."""
-    return float(_unitary_deviation(_as_square(u, "u"))) <= tol
 
 
 def assert_unitary(u, name: str = "matrix") -> np.ndarray:
@@ -282,20 +247,14 @@ def assert_unitaries(u, name: str = "matrix") -> np.ndarray:
     a = _checked_matrices(a, name)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    dev = _unitary_deviation(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives NaN or inf, not a warning
+        gram = a.conj().swapaxes(-1, -2) @ a
+    dev = np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))  # largest entry of |a^dag a - 1|
     bad = ~(dev <= UNITARY_TOL)  # an overflowing Gram matrix gives a NaN deviation
     if bad.any():
         i, where = _first(bad, name)
         raise ValueError(f"{where} is not unitary within {UNITARY_TOL:g} (deviation {dev[i]:.3e})")
     return a
-
-
-def projector(dim: int, index: int) -> np.ndarray:
-    """Rank-1 diagonal projector onto one configuration-basis vector."""
-    dim = as_integer(dim, "dim")
-    if dim < 1 or dim > MAX_DIM:
-        raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
-    return np.diag(basis_state(dim, index))
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
@@ -306,41 +265,6 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def dictionary_prob(u, q_t: int, q_0: int) -> float:
-    """Transition probability read off a unitary evolution matrix.
-
-    Equals the projector-sandwich trace ``Tr[P_qt u P_q0 u^dag]``; for unitary
-    ``u`` that trace collapses to the squared entry modulus, which is what is
-    computed here.
-    """
-    a = assert_unitary(u, "u")
-    d = a.shape[0]
-    q_t, q_0 = as_integer(q_t, "q_t"), as_integer(q_0, "q_0")
-    if not (0 <= q_t < d and 0 <= q_0 < d):
-        raise ValueError(f"configuration indices ({q_t}, {q_0}) out of range for dimension {d}")
-    return float(min(abs(a[q_t, q_0]) ** 2, 1.0))
-
-
-def amplitude_representation(gamma, phases) -> np.ndarray:
-    """Entrywise ``exp(i*phase) * sqrt(prob)`` matrix over a probability table.
-
-    The squared modulus of the result reproduces ``gamma`` entrywise.  Phases
-    are an explicit input: the representation is not unique and no canonical
-    gauge is imposed.
-    """
-    g = np.asarray(gamma, dtype=float)
-    th = np.asarray(phases, dtype=float)
-    if g.ndim != 2 or g.size == 0 or th.shape != g.shape:
-        raise ValueError(
-            f"gamma and phases must be non-empty matrices of equal shape, got {g.shape} and {th.shape}"
-        )
-    if not (np.isfinite(g).all() and np.isfinite(th).all()):
-        raise ValueError("gamma and phases must be finite")
-    if g.min() < -ENTRY_SLACK or g.max() > 1 + ENTRY_SLACK:
-        raise ValueError("gamma entries must be probabilities in [0, 1]")
-    return np.exp(1j * th) * np.sqrt(np.clip(g, 0.0, None))
 
 
 def dephase(rho) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Column-stochastic dynamics: evolution, division tests, unistochastic
-matrices, a unitary-dilation search, and interference-correction matrices.
+"""Column-stochastic dynamics: division tests, unistochastic matrices, a
+unitary-dilation search, and interference-correction matrices.
 
 Convention used project-wide: ``gamma[i, j]`` is the conditional probability
 of landing in configuration ``i`` given start configuration ``j``, so columns
@@ -33,22 +33,6 @@ _MAX_ITERATIONS = 10_000
 def as_stochastic_matrix(gamma, name: str = "gamma") -> np.ndarray:
     """Validate a column-stochastic matrix and return a cleaned float copy."""
     return as_probabilities(gamma, 2, 0, name, "have columns summing to 1")
-
-
-def as_distribution(p, name: str = "p") -> np.ndarray:
-    """Validate a probability distribution and return a cleaned float copy."""
-    return as_probabilities(p, 1, None, name, "sum to 1")
-
-
-def evolve(gamma, p0) -> np.ndarray:
-    """Push a distribution through one stochastic evolution step."""
-    g = as_stochastic_matrix(gamma)
-    d = as_distribution(p0, "p0")
-    if g.shape[1] != d.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: gamma conditions on {g.shape[1]} configurations, p0 has {d.shape[0]}"
-        )
-    return g @ d
 
 
 @dataclass

@@ -1,6 +1,5 @@
-"""Quantum-side machinery for the game: preparation unitaries, outcome
-observables, dichotomic observables, the CHSH operator, the score ceiling,
-and a seesaw optimizer that saturates it.
+"""Quantum-side machinery for the game: the CHSH operator, the score
+ceiling, and a seesaw optimizer that saturates it.
 
 Scores here are operator expectations: one quarter of the expectation of the
 CHSH operator in the shared state.  The same number is reachable through the
@@ -26,10 +25,8 @@ from .linalg import (
     as_tolerance,
     assert_unitaries,
     assert_unitary,
-    basis_state,
     haar_of_gaussian,
     rotation,
-    substream,
 )
 
 #: Largest joint dimension handled by the dense operator pipeline.
@@ -103,34 +100,6 @@ class QuantumSetup:
         return self.b0.shape[0]
 
 
-@dataclass(frozen=True)
-class PreparationUnitary:
-    """Unitary preparation applied to a fixed initial composite configuration."""
-
-    c_psi: np.ndarray
-    dims: tuple[int, int]
-    initial: tuple[int, int] = (0, 0)
-
-    def __post_init__(self) -> None:
-        c = assert_unitary(self.c_psi, name="c_psi")
-        da, db = as_dims(self.dims)
-        if da < 1 or db < 1 or da * db != c.shape[0]:
-            raise ValueError(f"dims {self.dims!r} do not match preparation dimension {c.shape[0]}")
-        q0, r0 = as_dims(self.initial, "initial", "local configurations")
-        if not (0 <= q0 < da and 0 <= r0 < db):
-            raise ValueError(f"initial configuration {self.initial!r} out of range for dims {self.dims!r}")
-        object.__setattr__(self, "c_psi", c)
-        object.__setattr__(self, "dims", (da, db))
-        object.__setattr__(self, "initial", (q0, r0))
-
-
-def prepare_state(prep: PreparationUnitary) -> np.ndarray:
-    """Shared state produced by the preparation: one column of its unitary."""
-    da, db = prep.dims
-    q0, r0 = prep.initial
-    return prep.c_psi @ basis_state(da * db, q0 * db + r0)
-
-
 def _T(m: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack (``.mT`` needs numpy 2)."""
     return m.swapaxes(-1, -2)
@@ -149,31 +118,6 @@ def _local_dichotomic(u: np.ndarray, outcome_map: tuple[int, ...]) -> np.ndarray
     """
     signs = 1.0 - 2.0 * np.array(outcome_map)
     return _T(u.conj()) @ (signs[:, None] * u)
-
-
-def dichotomic(side: str, setting: int, setup: QuantumSetup) -> np.ndarray:
-    """One side's local +-1 observable, padded with the identity on the other side."""
-    if side not in ("a", "b"):
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    if setting not in (0, 1):
-        raise ValueError(f"setting must be 0 or 1, got {setting!r}")
-    if side == "a":
-        local = _local_dichotomic(setup.a0 if setting == 0 else setup.a1, setup.alice_outcome)
-        return _kron(local, np.eye(setup.dim_b))
-    local = _local_dichotomic(setup.b0 if setting == 0 else setup.b1, setup.bob_outcome)
-    return _kron(np.eye(setup.dim_a), local)
-
-
-def outcome_observable(side: str, setting: int, outcome: int, setup: QuantumSetup) -> np.ndarray:
-    """Hermitian projector for one side reporting one outcome bit, on the joint space.
-
-    It is ``(1 + s) / 2`` for outcome 0 and ``(1 - s) / 2`` for outcome 1,
-    where ``s`` is the side's dichotomic observable.
-    """
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    s = dichotomic(side, setting, setup)
-    return (np.eye(s.shape[0]) + (1 - 2 * outcome) * s) / 2.0
 
 
 def _sum_difference(s: np.ndarray) -> np.ndarray:

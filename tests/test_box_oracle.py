@@ -3,7 +3,7 @@
 ``game._quantum_box`` forms ``|A_x Psi B_y^T|^2`` for all four input pairs in
 one stacked product and coarse-grains it with one-hot rows of the outcome
 maps.  The oracle below is the loop it replaced: one joint operator
-``A_x kron B_y`` per input pair through ``linalg.tensor``, applied to the
+``A_x kron B_y`` per input pair through ``np.kron``, applied to the
 state, then one masked sum per outcome pair, an empty mask giving zero.
 """
 
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 
 from chshkit import game
-from chshkit.linalg import tensor
 from chshkit.tsirelson import canonical_setup, random_setup
 from test_operator_oracle import DIMS, setups
 
@@ -31,7 +30,7 @@ def oracle_box(setup):
     box = np.zeros((2, 2, 2, 2))
     for x, a in enumerate((setup.a0, setup.a1)):
         for y, b in enumerate((setup.b0, setup.b1)):
-            weight = (np.abs(tensor(a, b) @ setup.state) ** 2).reshape(da, db)
+            weight = (np.abs(np.kron(a, b) @ setup.state) ** 2).reshape(da, db)
             for q in (0, 1):
                 for r in (0, 1):
                     if a_sel[q].size and b_sel[r].size:

@@ -10,15 +10,13 @@ from chshkit.causality import (
     correlated_noise_joint,
     influences,
     joint_from_unitary,
-    marginal_q,
-    marginal_r,
     non_interacting,
     one_way_copy_joint,
     product_joint,
     swap_joint,
 )
 from chshkit.game import as_correlation_box
-from chshkit.linalg import haar_unitary, tensor
+from chshkit.linalg import haar_unitary
 from chshkit.stochastic import divide_report, qcor, unistochastic_of
 
 
@@ -36,8 +34,7 @@ def random_joint(dq, dr, rng):
 
 
 def test_marginal_of_identity_product():
-    joint = product_joint(np.eye(2), np.eye(2))
-    m = marginal_q(joint)
+    m = product_joint(np.eye(2), np.eye(2)).sum(axis=1)
     for qt in range(2):
         for q0 in range(2):
             for r0 in range(2):
@@ -45,30 +42,20 @@ def test_marginal_of_identity_product():
 
 
 def test_marginal_of_swap_tracks_remote_start():
-    m = marginal_q(swap_joint(2))
+    m = swap_joint(2).sum(axis=1)
     for qt in range(2):
         for q0 in range(2):
             for r0 in range(2):
                 assert m[qt, q0, r0] == (1.0 if qt == r0 else 0.0)
 
 
-def test_marginal_r_mirrors_marginal_q():
-    rng = np.random.default_rng(2)
-    joint = random_joint(2, 3, rng)
-    m = marginal_r(joint)
-    for rt in range(3):
-        for q0 in range(2):
-            for r0 in range(3):
-                assert m[rt, q0, r0] == pytest.approx(joint[:, rt, q0, r0].sum(), abs=1e-15)
-
-
 def test_marginal_of_factorized_unitary_dynamics():
     rng = np.random.default_rng(3)
     ua = haar_unitary(2, rng)
     ub = haar_unitary(3, rng)
-    joint = joint_from_unitary(tensor(ua, ub), (2, 3))
+    joint = joint_from_unitary(np.kron(ua, ub), (2, 3))
     ga = unistochastic_of(ua)
-    m = marginal_q(joint)
+    m = joint.sum(axis=1)
     for qt in range(2):
         for q0 in range(2):
             for r0 in range(3):
@@ -165,7 +152,7 @@ def test_factorized_unitary_joint_factorizes_entrywise():
     for dims in ((2, 2), (2, 3)):
         ua = haar_unitary(dims[0], rng)
         ub = haar_unitary(dims[1], rng)
-        joint = joint_from_unitary(tensor(ua, ub), dims)
+        joint = joint_from_unitary(np.kron(ua, ub), dims)
         expected = np.einsum("ac,bd->abcd", unistochastic_of(ua), unistochastic_of(ub))
         assert np.max(np.abs(joint - expected)) <= 1e-12
         assert non_interacting(joint)
@@ -264,8 +251,8 @@ def pr_box_process():
     """
     plus, minus = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)
     state = (np.kron(plus, plus) + 1j * np.kron(minus, minus)) / np.sqrt(2.0)
-    unitaries = {xy: tensor(HADAMARD, HADAMARD) for xy in product((0, 1), repeat=2)}
-    unitaries[1, 1] = tensor(HADAMARD, HADAMARD @ PAULI_Z)
+    unitaries = {xy: np.kron(HADAMARD, HADAMARD) for xy in product((0, 1), repeat=2)}
+    unitaries[1, 1] = np.kron(HADAMARD, HADAMARD @ PAULI_Z)
     box = np.zeros((2, 2, 2, 2))
     for (x, y), u in unitaries.items():
         box[:, :, x, y] = (np.abs(u @ state) ** 2).reshape(2, 2)
@@ -290,7 +277,7 @@ def test_pr_box_process_passes_every_one_step_test(pr_box_process):
 
 def test_pr_box_process_carries_the_remote_input_in_a_phase(pr_box_process):
     _, unitaries = pr_box_process
-    u_11, phase = unitaries[1, 1], tensor(np.eye(2), PAULI_Z)
+    u_11, phase = unitaries[1, 1], np.kron(np.eye(2), PAULI_Z)
     assert np.array_equal(np.abs(HADAMARD @ PAULI_Z) ** 2, np.abs(HADAMARD) ** 2)
     assert not qcor(u_11, phase).any()
     assert divide_report(np.abs(u_11) ** 2, np.abs(phase) ** 2).quotient is not None

@@ -544,6 +544,19 @@ names = {}
 exec("from chshkit import *", names)
 assert set(chshkit.__all__) <= set(names)
 assert not hasattr(chshkit, "no_such_name")
+assert chshkit.__all__ == [
+    "CHSH_OPERATOR_CEILING", "Deterministic", "DilationReport", "DivisionReport", "ExplicitBox",
+    "NSBox", "OptimizeResult", "QuantumSetup", "SharedRandomness", "SimulationChunk",
+    "SimulationResult", "Strategy", "TSIRELSON_SCORE", "box_of_strategy", "canonical_setup",
+    "causally_independent", "chsh_operator", "dephase", "dilation_report", "divide_report",
+    "enumerate_deterministic", "expected_score", "influences", "is_no_signaling",
+    "joint_from_unitary", "non_interacting", "ns_box", "optimize", "qcor", "rotation",
+    "score_of_setup", "simulate_chunks", "simulate_rounds", "unistochastic_of", "win_probability",
+], chshkit.__all__
+retired = ["PreparationUnitary", "amplitude_representation", "dichotomic", "dictionary_prob",
+           "evolve", "is_unitary", "marginal_q", "marginal_r", "outcome_observable",
+           "prepare_state", "projector", "tensor"]
+assert not [name for name in retired if hasattr(chshkit, name)]
 """
 
 
@@ -723,9 +736,11 @@ def test_format_records_reads_each_column_as_bits(value):
 
 def test_format_records_requires_columns_of_one_length():
     two = np.zeros(2, dtype=np.int8)
-    for r in (np.ones(1, dtype=np.int8), np.ones(3, dtype=np.int8)):
-        lengths = f"2, 2, 2, {len(r)}"
-        with pytest.raises(ValueError, match=rf"^columns x, y, q, r must have one length, got {lengths}$"):
+    lengths = "^columns x, y, q, r must have one length, got 2, 2, 2, {}$"
+    for r, message in [(np.ones(1, dtype=np.int8), lengths.format(1)),
+                       (np.ones(3, dtype=np.int8), lengths.format(3)),
+                       (np.int8(0), r"^column r must be 1-d, got shape \(\)$")]:
+        with pytest.raises(ValueError, match=message):
             format_records(SimulationChunk(0, np.array([0, 1], dtype=np.int8), two, two, r))
 
 

@@ -10,7 +10,6 @@ from chshkit.linalg import (
     MAX_DIM,
     RESTART_BLOCK,
     Substreams,
-    amplitude_representation,
     as_dims,
     as_integer,
     as_seed,
@@ -21,143 +20,20 @@ from chshkit.linalg import (
     assert_unitary,
     basis_state,
     dephase,
-    dictionary_prob,
     haar_unitary,
-    is_unitary,
-    projector,
     rotation,
     spectral_norm,
     substream,
-    tensor,
 )
 from chshkit.stochastic import dilation_report
 from chshkit.tsirelson import optimize
-
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
-
-def manual_kron(a, b):
-    """Independent Kronecker product: explicit index loops."""
-    out = np.zeros((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            for k in range(b.shape[0]):
-                for l in range(b.shape[1]):
-                    out[i * b.shape[0] + k, j * b.shape[1] + l] = a[i, j] * b[k, l]
-    return out
-
-
-def test_tensor_identities():
-    assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_projectors():
-    got = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert np.array_equal(got, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
-
-
-def test_tensor_flips_both_bits():
-    xx = tensor(X, X)
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    ket11 = np.array([0, 0, 0, 1], dtype=complex)
-    assert np.allclose(xx @ ket00, ket11)
-    assert np.allclose(xx, manual_kron(X, X))
-
-
-def test_tensor_matches_manual_kron_on_random_matrices():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        assert np.allclose(tensor(a, b), manual_kron(a, b), atol=1e-15)
-
-
-def test_is_unitary_accepts_identity_and_rotation():
-    assert is_unitary(np.eye(2), 1e-12)
-    assert is_unitary(rotation(math.pi / 8), 1e-12)
-
-
-def test_is_unitary_rejects_shear():
-    assert not is_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
-
 
 def test_unitarity_checks_reject_overflowing_gram_matrix():
     # u^dag u overflows to inf - inf = NaN off the diagonal
     huge = np.array([[1e200, 1e200], [1e200, 1e200j]])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not is_unitary(huge)
         with pytest.raises(ValueError):
             assert_unitary(huge)
-
-
-def test_is_unitary_requires_square():
-    with pytest.raises(ValueError):
-        is_unitary(np.ones((2, 3)))
-
-
-@pytest.mark.parametrize(
-    "dim,index,expected",
-    [
-        (2, 0, [1.0, 0.0]),
-        (2, 1, [0.0, 1.0]),
-        (4, 2, [0.0, 0.0, 1.0, 0.0]),
-    ],
-)
-def test_projector_examples(dim, index, expected):
-    assert np.array_equal(projector(dim, index), np.diag(expected).astype(complex))
-
-
-def test_projector_index_out_of_range():
-    with pytest.raises(ValueError):
-        projector(2, 2)
-
-
-def test_dictionary_prob_identity():
-    assert dictionary_prob(np.eye(2), 0, 0) == 1.0
-
-
-def test_dictionary_prob_quarter_rotation_is_half():
-    u = rotation(math.pi / 4)
-    for qt in (0, 1):
-        for q0 in (0, 1):
-            assert dictionary_prob(u, qt, q0) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_dictionary_prob_eighth_rotation():
-    assert dictionary_prob(rotation(math.pi / 8), 0, 0) == pytest.approx(
-        math.cos(math.pi / 8) ** 2, abs=1e-15
-    )
-
-
-def test_dictionary_prob_equals_projector_trace():
-    # Oracle: the full projector-sandwich trace, computed with explicit matmuls.
-    rng = np.random.default_rng(11)
-    for dim in (2, 3, 4):
-        u = haar_unitary(dim, rng)
-        for qt in range(dim):
-            for q0 in range(dim):
-                sandwich = projector(dim, qt) @ u @ projector(dim, q0) @ u.conj().T
-                assert dictionary_prob(u, qt, q0) == pytest.approx(
-                    float(np.trace(sandwich).real), abs=1e-12
-                )
-
-
-def test_dictionary_prob_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        dictionary_prob(np.array([[1, 1], [0, 1]], dtype=complex), 0, 0)
-
-
-def test_dictionary_prob_reads_indices_as_integers():
-    u = rotation(math.pi / 8)
-    assert dictionary_prob(u, 1.0, 0) == dictionary_prob(u, 1, 0)
-    assert dictionary_prob(u, 0, True) == dictionary_prob(u, 0, 1)
-    with pytest.raises(ValueError, match=r"^q_t must be an integer, got 1\.5$"):
-        dictionary_prob(u, 1.5, 0)
-    with pytest.raises(ValueError, match=r"^q_0 must be an integer, got 0\.5$"):
-        dictionary_prob(u, 0, 0.5)
-    with pytest.raises(ValueError, match=r"^configuration indices \(0, 2\) out of range for dimension 2$"):
-        dictionary_prob(u, 0, 2)
 
 
 def test_squared_moduli_of_unitary_are_doubly_stochastic():
@@ -169,68 +45,7 @@ def test_squared_moduli_of_unitary_are_doubly_stochastic():
             assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-10
 
 
-def test_dictionary_prob_columns_normalized():
-    rng = np.random.default_rng(29)
-    u = haar_unitary(5, rng)
-    for q0 in range(5):
-        total = sum(dictionary_prob(u, qt, q0) for qt in range(5))
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_amplitude_representation_identity():
-    got = amplitude_representation(np.eye(2), np.zeros((2, 2)))
-    assert np.array_equal(got, np.eye(2).astype(complex))
-
-
-def test_amplitude_representation_uniformizer_with_sign_phase_is_unitary():
-    gamma = np.full((2, 2), 0.5)
-    phases = np.array([[0.0, 0.0], [0.0, math.pi]])
-    theta = amplitude_representation(gamma, phases)
-    assert np.allclose(theta, HADAMARD, atol=1e-15)
-    assert np.allclose(theta.conj().T @ theta, np.eye(2), atol=1e-15)
-
-
-def test_amplitude_representation_zero_phases_not_unitary():
-    gamma = np.full((2, 2), 0.5)
-    theta = amplitude_representation(gamma, np.zeros((2, 2)))
-    assert not is_unitary(theta)
-    assert np.allclose(np.abs(theta) ** 2, gamma, atol=1e-14)
-
-
-def test_amplitude_representation_roundtrips_probabilities():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        cols = rng.dirichlet(np.ones(3), size=3).T
-        phases = rng.uniform(0, 2 * math.pi, (3, 3))
-        theta = amplitude_representation(cols, phases)
-        assert np.max(np.abs(np.abs(theta) ** 2 - cols)) <= 1e-14
-
-
-def test_amplitude_representation_shape_mismatch():
-    with pytest.raises(ValueError):
-        amplitude_representation(np.eye(2), np.zeros((3, 3)))
-
-
-NOT_FINITE = "^gamma and phases must be finite$"
-NOT_PROBABILITIES = r"^gamma entries must be probabilities in \[0, 1\]$"
-
-
-@pytest.mark.parametrize(
-    "gamma, phases, message",
-    [(np.eye(2), np.full((2, 2), np.inf), NOT_FINITE),
-     (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_FINITE),
-     (np.array([[1.5, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_PROBABILITIES),
-     (np.array([[-0.1, 0.0], [0.0, 1.0]]), np.zeros((2, 2)), NOT_PROBABILITIES),
-     (np.zeros((0, 0)), np.zeros((0, 0)),
-      r"^gamma and phases must be non-empty matrices of equal shape, got \(0, 0\) and \(0, 0\)$")],
-)
-def test_amplitude_representation_rejects_non_finite_and_out_of_range_input(gamma, phases, message):
-    with pytest.raises(ValueError, match=message):
-        amplitude_representation(gamma, phases)
-
-
 TOO_BIG = MAX_DIM + 1
-TENSOR_CAP = rf"^tensor product would exceed the dimension cap {MAX_DIM}$"
 
 
 @pytest.mark.parametrize(
@@ -241,12 +56,9 @@ TENSOR_CAP = rf"^tensor product would exceed the dimension cap {MAX_DIM}$"
       rf"^u is 1x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$"),
      (lambda: as_state_vectors(np.ones((3, TOO_BIG)), "psi"),
       rf"^psi has dimension {TOO_BIG}; above {MAX_DIM} is not supported$"),
-     (lambda: tensor(np.eye(8), np.eye(9)), TENSOR_CAP),
-     (lambda: tensor(np.ones((1, 8)), np.ones((1, 9))), TENSOR_CAP),
-     (lambda: projector(TOO_BIG, 0), rf"^dim must be in \[1, {MAX_DIM}\], got {TOO_BIG}$"),
-     (lambda: projector(0, 0), rf"^dim must be in \[1, {MAX_DIM}\], got 0$")],
-    ids=["matrix", "matrix_stack", "state_stack", "tensor_rows", "tensor_columns",
-         "projector", "projector_0"],
+     (lambda: spectral_norm(np.eye(TOO_BIG)),
+      rf"^h is {TOO_BIG}x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$")],
+    ids=["matrix", "matrix_stack", "state_stack", "hermitian"],
 )
 def test_dimension_caps(build, message):
     with pytest.raises(ValueError, match=message):
@@ -404,17 +216,13 @@ def test_hermitian_check_reports_an_overflowing_deviation_without_a_warning():
         assert str(excinfo.value) == f"{name} is not Hermitian within 1e-10 (deviation inf)"
 
 
-def test_is_unitary_and_assert_unitary_share_one_check():
+def test_assert_unitary_accepts_within_its_tolerance_and_rejects_beyond():
     near = rotation(0.4) * (1 + 2e-11)  # Gram deviation 4e-11, inside the default tolerance
     far = rotation(0.4) * 1.001
     for m in (haar_unitary(3, np.random.default_rng(23)), near):
-        assert is_unitary(m)
         assert_unitary(m)
-    assert not is_unitary(far)
     with pytest.raises(ValueError, match="not unitary"):
         assert_unitary(far)
-    with pytest.raises(ValueError, match="u must be square, got shape"):
-        is_unitary(np.ones((2, 3)))
 
 
 def test_stacked_checks_name_the_first_failing_item():
@@ -459,8 +267,8 @@ def test_single_item_checks_keep_their_messages_and_reject_stacks():
     ]:
         with pytest.raises(ValueError, match=msg):
             as_state_vector(bad, "v")
-    with pytest.raises(ValueError, match=r"^a must be a 2-d matrix, got shape \(3,\)$"):
-        tensor(np.ones(3), np.eye(2))
+    with pytest.raises(ValueError, match=r"^h must be a 2-d matrix, got shape \(3,\)$"):
+        spectral_norm(np.ones(3))
 
 
 @pytest.mark.parametrize("seed", [1.9, 0.5, "12", math.inf, -math.inf, math.nan, 2 + 0j, None])
@@ -482,16 +290,14 @@ def test_as_integer_names_the_value():
         as_integer(4.5, "count")
 
 
-def test_projector_and_basis_state_read_integers():
-    assert np.array_equal(projector(2, 1.0), projector(2, 1))
+def test_basis_state_reads_integers():
     assert np.array_equal(basis_state(3.0, 2), basis_state(3, 2))
     with pytest.raises(ValueError, match=r"^dim must be an integer, got 2\.5$"):
-        projector(2.5, 1)
+        basis_state(2.5, 1)
     with pytest.raises(ValueError, match=r"^index must be an integer, got 0\.5$"):
         basis_state(2, 0.5)
     with pytest.raises(ValueError, match=r"^index 2 out of range for dimension 2$"):
-        projector(2, 2)
-    assert np.array_equal(projector(3, 1), np.diag(basis_state(3, 1)))
+        basis_state(2, 2)
 
 
 @pytest.mark.parametrize("dims", [5, 2.0, None, np.array(4), (2,), (2, 2, 1)], ids=repr)

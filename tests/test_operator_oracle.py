@@ -1,10 +1,12 @@
 """The operator route against a joint-space projector oracle.
 
-``chsh_operator``, ``dichotomic`` and ``outcome_observable`` are built from
-each side's local +-1 observable.  The oracle below builds them the other
-way: one coarse-grained outcome projector per side, setting and bit,
-conjugated by the local unitary and padded to the joint space, with the
-observables formed as differences and products of those joint projectors.
+``chsh_operator`` is built from each side's local +-1 observable, the
+library's ``tsirelson._local_dichotomic``; so are ``dichotomic`` and
+``outcome_observable`` below, which pad it to the joint space.  The oracle
+builds them the other way: one coarse-grained outcome projector per side,
+setting and bit, conjugated by the local unitary and padded to the joint
+space, with the observables formed as differences and products of those
+joint projectors.
 """
 
 import dataclasses
@@ -15,14 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshkit import tsirelson
-from chshkit.linalg import tensor
-from chshkit.tsirelson import (
-    MAX_JOINT_DIM,
-    chsh_operator,
-    dichotomic,
-    outcome_observable,
-    random_setup,
-)
+from chshkit.tsirelson import MAX_JOINT_DIM, chsh_operator, random_setup
 
 ORACLE_TOL = 1e-13
 
@@ -34,14 +29,30 @@ DIMS = [
 ]
 
 
+def dichotomic(side, setting, setup):
+    """One side's +-1 observable from the library's kernel, padded with the identity on the other side."""
+    if side == "a":
+        local = tsirelson._local_dichotomic((setup.a0, setup.a1)[setting], setup.alice_outcome)
+        return np.kron(local, np.eye(setup.dim_b))
+    local = tsirelson._local_dichotomic((setup.b0, setup.b1)[setting], setup.bob_outcome)
+    return np.kron(np.eye(setup.dim_a), local)
+
+
+def outcome_observable(side, setting, outcome, setup):
+    """Projector for one side reporting ``outcome``: ``(1 + s) / 2`` for 0 and
+    ``(1 - s) / 2`` for 1, where ``s`` is the side's ``dichotomic``."""
+    s = dichotomic(side, setting, setup)
+    return (np.eye(s.shape[0]) + (1 - 2 * outcome) * s) / 2.0
+
+
 def oracle_outcome_observable(side, setting, outcome, setup):
     u = {"a": (setup.a0, setup.a1), "b": (setup.b0, setup.b1)}[side][setting]
     outcome_map = setup.alice_outcome if side == "a" else setup.bob_outcome
     mask = np.array([1.0 if b == outcome else 0.0 for b in outcome_map])
     local = u.conj().T @ (mask[:, None] * u)
     if side == "a":
-        return tensor(local, np.eye(setup.dim_b, dtype=complex))
-    return tensor(np.eye(setup.dim_a, dtype=complex), local)
+        return np.kron(local, np.eye(setup.dim_b, dtype=complex))
+    return np.kron(np.eye(setup.dim_a, dtype=complex), local)
 
 
 def oracle_dichotomic(side, setting, setup):

@@ -11,7 +11,6 @@ from chshkit.stochastic import (
     as_stochastic_matrix,
     dilation_report,
     divide_report,
-    evolve,
     qcor,
     unistochastic_of,
 )
@@ -26,36 +25,6 @@ WITNESS_3X3 = 0.5 * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
 
 def random_stochastic(dim, rng):
     return rng.dirichlet(np.ones(dim), size=dim).T
-
-
-def test_evolve_identity():
-    p = np.array([0.2, 0.8])
-    assert np.allclose(evolve(np.eye(2), p), p)
-
-
-def test_evolve_uniformizer():
-    assert np.allclose(evolve(UNIFORMIZER, np.array([1.0, 0.0])), [0.5, 0.5])
-
-
-def test_evolve_permutation():
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(evolve(flip, np.array([0.3, 0.7])), [0.7, 0.3])
-
-
-def test_evolve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        evolve(np.eye(2), np.array([1.0, 0.0, 0.0]))
-
-
-def test_evolve_preserves_normalization_and_positivity():
-    rng = np.random.default_rng(3)
-    for dim in (2, 3, 5):
-        for _ in range(40):
-            g = random_stochastic(dim, rng)
-            p = rng.dirichlet(np.ones(dim))
-            out = evolve(g, p)
-            assert out.min() >= 0.0
-            assert out.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_divide_by_itself_gives_identity():

@@ -6,21 +6,18 @@ import pytest
 
 from chshkit import tsirelson
 from chshkit.game import box_of_strategy, expected_score
-from chshkit.linalg import basis_state, rotation, spectral_norm, tensor
+from chshkit.linalg import basis_state, rotation, spectral_norm
 from chshkit.tsirelson import (
     CHSH_OPERATOR_CEILING,
     TSIRELSON_SCORE,
-    PreparationUnitary,
     QuantumSetup,
     canonical_setup,
     chsh_operator,
-    dichotomic,
     optimize,
-    outcome_observable,
-    prepare_state,
     random_setup,
     score_of_setup,
 )
+from test_operator_oracle import dichotomic, outcome_observable
 
 
 def identity_setup(state=None):
@@ -52,55 +49,15 @@ def test_setup_validation():
         QuantumSetup(basis_state(2, 0), np.eye(2), np.eye(2), np.eye(2), np.eye(2))
 
 
-@pytest.mark.parametrize(
-    "build, message",
-    [(lambda s: dichotomic("c", 0, s), r"^side must be 'a' or 'b', got 'c'$"),
-     (lambda s: dichotomic("a", 2, s), r"^setting must be 0 or 1, got 2$"),
-     (lambda s: outcome_observable("b", 0, 2, s), r"^outcome must be 0 or 1, got 2$"),
-     (lambda s: outcome_observable("b", -1, 0, s), r"^setting must be 0 or 1, got -1$"),
-     (lambda s: outcome_observable("", 0, 1, s), r"^side must be 'a' or 'b', got ''$")],
-)
-def test_observables_reject_a_bad_side_setting_or_outcome(build, message):
-    with pytest.raises(ValueError, match=message):
-        build(identity_setup())
-
-
 def test_default_outcome_maps_alternate():
     setup = identity_setup()
     assert setup.alice_outcome == (0, 1)
     assert setup.bob_outcome == (0, 1)
 
 
-def test_prepare_state_identity():
-    prep = PreparationUnitary(np.eye(4), (2, 2), (0, 0))
-    assert np.array_equal(prepare_state(prep), basis_state(4, 0))
-
-
-def test_prepare_state_entangler_gives_bell_state():
-    # CNOT (H tensor I): the |00> column is the Bell state.
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    cnot = np.zeros((4, 4), dtype=complex)
-    for q in range(2):
-        for r in range(2):
-            cnot[q * 2 + (r ^ q), q * 2 + r] = 1.0
-    prep = PreparationUnitary(cnot @ tensor(h, np.eye(2)), (2, 2), (0, 0))
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / math.sqrt(2)
-    assert np.allclose(prepare_state(prep), bell, atol=1e-15)
-
-
-def test_prepare_state_permutation_gives_basis_vector():
-    perm = np.zeros((4, 4), dtype=complex)
-    for i, j in enumerate((2, 3, 0, 1)):
-        perm[j, i] = 1.0
-    prep = PreparationUnitary(perm, (2, 2), (0, 1))
-    state = prepare_state(prep)
-    assert np.allclose(state, basis_state(4, 3))
-
-
 def test_outcome_observable_identity_operation():
     setup = identity_setup()
-    expected = tensor(np.diag([1.0, 0.0]), np.eye(2))
+    expected = np.kron(np.diag([1.0, 0.0]), np.eye(2))
     assert np.allclose(outcome_observable("a", 0, 0, setup), expected)
 
 
@@ -132,7 +89,7 @@ def test_outcome_observable_spectrum_and_trace():
 
 def test_dichotomic_identity_is_z_like():
     setup = identity_setup()
-    assert np.allclose(dichotomic("a", 0, setup), tensor(np.diag([1.0, -1.0]), np.eye(2)))
+    assert np.allclose(dichotomic("a", 0, setup), np.kron(np.diag([1.0, -1.0]), np.eye(2)))
 
 
 def test_dichotomic_squares_to_identity():
@@ -152,7 +109,7 @@ def test_dichotomic_rotation_conjugation_pattern():
     local = np.array(
         [[math.cos(2 * theta), -math.sin(2 * theta)], [-math.sin(2 * theta), -math.cos(2 * theta)]]
     )
-    assert np.allclose(dichotomic("a", 0, setup), tensor(local, np.eye(2)), atol=1e-12)
+    assert np.allclose(dichotomic("a", 0, setup), np.kron(local, np.eye(2)), atol=1e-12)
 
 
 def test_sides_commute_exactly():
@@ -168,7 +125,7 @@ def test_sides_commute_exactly():
 def test_chsh_operator_identity_setup_collapses():
     setup = identity_setup()
     z = np.diag([1.0, -1.0]).astype(complex)
-    assert np.allclose(chsh_operator(setup), 2 * tensor(z, z))
+    assert np.allclose(chsh_operator(setup), 2 * np.kron(z, z))
     assert spectral_norm(chsh_operator(setup)) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -289,7 +246,6 @@ def test_optimize_rejects_oversized_dims_before_any_draw(monkeypatch):
         raise AssertionError("a restart was drawn before the dimension check")
 
     monkeypatch.setattr(tsirelson, "_draw_starts", no_draw)
-    monkeypatch.setattr(tsirelson, "substream", no_draw)
     monkeypatch.setattr(tsirelson, "Substreams", no_draw)
     with pytest.raises(ValueError, match="joint dimension 18"):
         optimize((3, 6), restarts=1)
@@ -328,27 +284,3 @@ def test_optimize_reads_restarts_as_an_integer():
         optimize((2, 2), restarts=2.5)
     result = optimize((2, 2), restarts=2.0, seed=3)
     assert result.restart_scores == optimize((2, 2), restarts=2, seed=3).restart_scores
-
-
-@pytest.mark.parametrize(
-    "dims, initial, message",
-    [((2.5, 2.0), (0, 1), r"^dims\[0\] must be an integer"),
-     ((2, 2), (0.7, 1), r"^initial\[0\] must be an integer"),
-     ((2, 2), (0, 1.9), r"^initial\[1\] must be an integer"),
-     ((2, 2, 1), (0, 0), "^dims must be two local dimensions"),
-     ((2, 2), (0, 0, 7), r"^initial must be two local configurations, got \(0, 0, 7\)$"),
-     ((2, 2), (0,), r"^initial must be two local configurations, got \(0,\)$"),
-     ((2, 2), 5, r"^initial must be two local configurations, got 5$"),
-     ((2, 3), (0, 0), r"^dims \(2, 3\) do not match preparation dimension 4$"),
-     ((4, 1), (0, 1), r"^initial configuration \(0, 1\) out of range for dims \(4, 1\)$")],
-)
-def test_preparation_unitary_rejects_non_integral_dims_and_initial(dims, initial, message):
-    with pytest.raises(ValueError, match=message):
-        PreparationUnitary(np.eye(4), dims=dims, initial=initial)
-
-
-def test_preparation_unitary_keeps_integral_floats():
-    prep = PreparationUnitary(np.eye(4), dims=(2.0, 2.0), initial=(1.0, 0))
-    assert prep.dims == (2, 2) and prep.initial == (1, 0)
-    assert all(type(v) is int for v in prep.dims + prep.initial)
-    assert np.array_equal(prepare_state(prep), basis_state(4, 2))

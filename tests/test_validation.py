@@ -29,7 +29,7 @@ from chshkit.game import (
     signaling_witness,
 )
 from chshkit.linalg import basis_state
-from chshkit.stochastic import as_distribution, as_stochastic_matrix
+from chshkit.stochastic import as_stochastic_matrix
 from chshkit.tsirelson import QuantumSetup
 
 _PURE = (Deterministic((0, 0), (0, 0)), Deterministic((1, 1), (1, 1)))
@@ -64,7 +64,6 @@ VALIDATORS = {
         (1, 0),
         (0, 0),
     ),
-    "distribution": (as_distribution, np.array([1.0, 0.0]), np.array([[1.0]]), (1,), (0,)),
     "joint_conditional": (
         as_joint_conditional,
         swap_joint(2),
