@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -16,7 +17,7 @@ from chshkit.causality import (
     swap_joint,
 )
 from chshkit.game import as_correlation_box
-from chshkit.linalg import haar_unitary
+from chshkit.linalg import basis_state, haar_unitary
 from chshkit.stochastic import divide_report, qcor, unistochastic_of
 
 
@@ -47,6 +48,24 @@ def test_marginal_of_swap_tracks_remote_start():
         for q0 in range(2):
             for r0 in range(2):
                 assert m[qt, q0, r0] == (1.0 if qt == r0 else 0.0)
+
+
+def test_remote_spread_reads_each_side_off_its_own_marginal():
+    # Oracle: each marginal summed with explicit loops, its spread over the remote start.
+    rng = np.random.default_rng(2)
+    joint = random_joint(2, 3, rng)
+    for side, (own, remote) in enumerate(((2, 3), (3, 2))):
+        spread = causality._remote_spread(joint, side)
+        assert spread.shape == (own, own)
+        for t in range(own):
+            for start in range(own):
+                sums = []
+                for far in range(remote):
+                    if side == 0:
+                        sums.append(sum(joint[t, rt, start, far] for rt in range(3)))
+                    else:
+                        sums.append(sum(joint[qt, t, far, start] for qt in range(2)))
+                assert spread[t, start] == pytest.approx(max(sums) - min(sums), abs=1e-15)
 
 
 def test_marginal_of_factorized_unitary_dynamics():
@@ -193,6 +212,67 @@ def test_joint_from_unitary_reads_dims_as_two_integers():
         joint_from_unitary(np.eye(4), (2.5, 2))
     with pytest.raises(ValueError, match=r"^dims must be two local dimensions, got \(2, 2, 7\)$"):
         joint_from_unitary(np.eye(4), (2, 2, 7))
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [((2, 1.5), r"^dims\[1\] must be an integer, got 1\.5$"),
+     ((2, "2"), r"^dims\[1\] must be an integer, got '2'$"),
+     ((2, math.inf), r"^dims\[1\] must be an integer, got inf$"),
+     (4, "^dims must be two local dimensions, got 4$"),
+     ((4,), r"^dims must be two local dimensions, got \(4,\)$"),
+     ((-2, -2), r"^dims must be positive, got \(-2, -2\)$"),
+     ((2, 3), r"^dimension mismatch: u is 4x4 but dims \(2, 3\) imply 6$"),
+     ((1, 2), r"^dimension mismatch: u is 4x4 but dims \(1, 2\) imply 2$")],
+)
+def test_joint_from_unitary_rejects_non_integral_or_mismatched_dims(dims, message):
+    with pytest.raises(ValueError, match=message):
+        joint_from_unitary(np.eye(4), dims)
+
+
+def test_joint_from_unitary_keeps_integral_float_dims_on_an_uneven_split():
+    u = haar_unitary(4, np.random.default_rng(29))
+    joint = joint_from_unitary(u, (4.0, 1.0))
+    assert joint.shape == (4, 1, 4, 1)
+    assert np.array_equal(joint, joint_from_unitary(u, (4, 1)))
+    assert np.array_equal(joint[:, 0, :, 0], unistochastic_of(u))
+
+
+def test_joint_start_column_is_the_distribution_of_the_prepared_state():
+    rng = np.random.default_rng(31)
+    for dq, dr in ((2, 2), (2, 3), (3, 2)):
+        u = haar_unitary(dq * dr, rng)
+        joint = joint_from_unitary(u, (dq, dr))
+        for q0 in range(dq):
+            for r0 in range(dr):
+                prepared = u @ basis_state(dq * dr, q0 * dr + r0)
+                assert np.allclose(joint[:, :, q0, r0], (np.abs(prepared) ** 2).reshape(dq, dr), atol=1e-15)
+
+
+def test_joint_from_an_entangler_is_independent_but_interacting():
+    # CNOT (H (x) I): the start |q0 r0> ends in |q, r0 xor q> for either q, with probability 1/2.
+    cnot = np.zeros((4, 4), dtype=complex)
+    for q in range(2):
+        for r in range(2):
+            cnot[q * 2 + (r ^ q), q * 2 + r] = 1.0
+    joint = joint_from_unitary(cnot @ np.kron(HADAMARD, np.eye(2)), (2, 2))
+    expected = np.zeros((2, 2, 2, 2))
+    for q, q0, r0 in product((0, 1), repeat=3):
+        expected[q, r0 ^ q, q0, r0] = 0.5
+    assert np.allclose(joint, expected, atol=1e-15)
+    assert causally_independent(joint)
+    assert not non_interacting(joint)
+
+
+def test_joint_from_a_local_flip_is_non_interacting():
+    perm = np.zeros((4, 4), dtype=complex)
+    for i, j in enumerate((2, 3, 0, 1)):  # (q, r) -> (1 - q, r)
+        perm[j, i] = 1.0
+    joint = joint_from_unitary(perm, (2, 2))
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(joint, product_joint(flip, np.eye(2)))
+    assert non_interacting(joint)
+    assert not influences(joint, "r_on_q") and not influences(joint, "q_on_r")
 
 
 @pytest.mark.parametrize("build", [swap_joint, one_way_copy_joint])

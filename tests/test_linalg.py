@@ -25,8 +25,9 @@ from chshkit.linalg import (
     spectral_norm,
     substream,
 )
-from chshkit.stochastic import dilation_report
-from chshkit.tsirelson import optimize
+from chshkit.causality import joint_from_unitary
+from chshkit.stochastic import dilation_report, qcor, unistochastic_of
+from chshkit.tsirelson import QuantumSetup, optimize
 
 def test_unitarity_checks_reject_overflowing_gram_matrix():
     # u^dag u overflows to inf - inf = NaN off the diagonal
@@ -34,6 +35,42 @@ def test_unitarity_checks_reject_overflowing_gram_matrix():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
             assert_unitary(huge)
+
+
+def test_assert_unitary_accepts_identity_and_rotation():
+    for u in (np.eye(2), rotation(math.pi / 8)):
+        checked = assert_unitary(u)
+        assert checked.dtype == complex and np.array_equal(checked, u)
+
+
+def test_assert_unitary_rejects_shear():
+    # shear^dag shear - 1 = [[0, 1], [1, 1]]
+    with pytest.raises(ValueError, match=r"^matrix is not unitary within 1e-10 \(deviation 1\.000e\+00\)$"):
+        assert_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_assert_unitary_requires_square():
+    with pytest.raises(ValueError, match=r"^u must be square, got shape \(2, 3\)$"):
+        assert_unitary(np.ones((2, 3)), "u")
+
+
+@pytest.mark.parametrize(
+    "dim,index,expected",
+    [
+        (2, 0, [1.0, 0.0]),
+        (2, 1, [0.0, 1.0]),
+        (4, 2, [0.0, 0.0, 1.0, 0.0]),
+    ],
+)
+def test_basis_state_examples(dim, index, expected):
+    v = basis_state(dim, index)
+    assert v.dtype == complex and np.array_equal(v, expected)
+
+
+@pytest.mark.parametrize("dim, index", [(2, 2), (2, -1), (0, 0)])
+def test_basis_state_index_out_of_range(dim, index):
+    with pytest.raises(ValueError, match=rf"^index {index} out of range for dimension {dim}$"):
+        basis_state(dim, index)
 
 
 def test_squared_moduli_of_unitary_are_doubly_stochastic():
@@ -57,8 +94,21 @@ TOO_BIG = MAX_DIM + 1
      (lambda: as_state_vectors(np.ones((3, TOO_BIG)), "psi"),
       rf"^psi has dimension {TOO_BIG}; above {MAX_DIM} is not supported$"),
      (lambda: spectral_norm(np.eye(TOO_BIG)),
-      rf"^h is {TOO_BIG}x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$")],
-    ids=["matrix", "matrix_stack", "state_stack", "hermitian"],
+      rf"^h is {TOO_BIG}x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$"),
+     (lambda: as_state_vector(np.ones(TOO_BIG)),
+      rf"^state has dimension {TOO_BIG}; above {MAX_DIM} is not supported$"),
+     (lambda: unistochastic_of(np.eye(TOO_BIG)),
+      rf"^u is {TOO_BIG}x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$"),
+     (lambda: dephase(np.eye(TOO_BIG) / TOO_BIG),
+      rf"^rho is {TOO_BIG}x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$"),
+     (lambda: qcor(np.eye(2), np.eye(TOO_BIG)),
+      rf"^u_first is {TOO_BIG}x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$"),
+     (lambda: joint_from_unitary(np.eye(TOO_BIG), (5, 13)),
+      rf"^u is {TOO_BIG}x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$"),
+     (lambda: QuantumSetup(np.ones(1), np.eye(TOO_BIG), np.eye(1), np.eye(1), np.eye(1)),
+      rf"^a0 is {TOO_BIG}x{TOO_BIG}; dimensions above {MAX_DIM} are not supported$")],
+    ids=["matrix", "matrix_stack", "state_stack", "hermitian", "state", "unistochastic",
+         "density", "qcor", "joint", "setup"],
 )
 def test_dimension_caps(build, message):
     with pytest.raises(ValueError, match=message):

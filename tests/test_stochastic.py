@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshkit.linalg import MAX_DIM, as_probabilities, haar_unitary, rotation
+from chshkit.linalg import MAX_DIM, as_probabilities, basis_state, haar_unitary, rotation
 from chshkit.stochastic import (
     DIVISION_TOL,
     as_stochastic_matrix,
@@ -124,6 +124,15 @@ def test_divide_dimension_mismatch():
         divide_report(np.eye(2), np.eye(3))
 
 
+def test_quotient_evolves_distributions_like_the_second_leg():
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 4):
+        first, second = random_stochastic(dim, rng), random_stochastic(dim, rng)
+        quotient = divide_report(second @ first, first).quotient
+        for p in rng.dirichlet(np.ones(dim), size=5):
+            assert np.max(np.abs(quotient @ (first @ p) - second @ (first @ p))) <= 1e-8
+
+
 def test_divide_roundtrip_on_random_products():
     rng = np.random.default_rng(7)
     for dim in (2, 3, 4):
@@ -152,6 +161,59 @@ def test_unistochastic_of_rotation():
     )
 
 
+def test_unistochastic_of_quarter_rotation_is_uniform():
+    assert np.allclose(unistochastic_of(rotation(math.pi / 4)), UNIFORMIZER, atol=1e-15)
+
+
+def test_unistochastic_of_a_permutation_is_the_permutation():
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    perm = np.eye(3)[[2, 0, 1]]
+    for p in (flip, perm):
+        assert np.array_equal(unistochastic_of(p), p)
+    assert np.allclose(unistochastic_of(flip) @ np.array([0.3, 0.7]), [0.7, 0.3])
+
+
+def test_unistochastic_entry_is_the_projector_sandwich_trace():
+    # Oracle: p(q_t | q_0) = tr(P_qt U P_q0 U^dag), computed with explicit matmuls.
+    rng = np.random.default_rng(11)
+    for dim in (2, 3, 4):
+        u = haar_unitary(dim, rng)
+        g = unistochastic_of(u)
+        for qt in range(dim):
+            for q0 in range(dim):
+                p_t = np.outer(basis_state(dim, qt), basis_state(dim, qt).conj())
+                p_0 = np.outer(basis_state(dim, q0), basis_state(dim, q0).conj())
+                sandwich = p_t @ u @ p_0 @ u.conj().T
+                assert g[qt, q0] == pytest.approx(float(np.trace(sandwich).real), abs=1e-12)
+
+
+def test_unistochastic_dynamics_keep_distributions_normalized_and_positive():
+    rng = np.random.default_rng(3)
+    for dim in (2, 3, 5):
+        for _ in range(40):
+            out = unistochastic_of(haar_unitary(dim, rng)) @ rng.dirichlet(np.ones(dim))
+            assert out.min() >= 0.0
+            assert out.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_unistochastic_of_returns_a_real_table_of_one_matrix():
+    g = unistochastic_of(rotation(math.pi / 8))
+    assert g.dtype == float and g.shape == (2, 2)
+    with pytest.raises(ValueError, match=r"^u must be a 2-d matrix, got shape \(2, 2, 2\)$"):
+        unistochastic_of(np.stack([np.eye(2)] * 2))
+    with pytest.raises(ValueError, match=r"^u must be square, got shape \(2, 3\)$"):
+        unistochastic_of(np.ones((2, 3)))
+
+
+def test_uniformizer_moduli_need_a_sign_phase_to_be_unitary():
+    roots = np.sqrt(UNIFORMIZER)
+    with pytest.raises(ValueError, match="^u is not unitary"):
+        unistochastic_of(roots)
+    hadamard = roots * np.exp(1j * np.array([[0.0, 0.0], [0.0, math.pi]]))
+    assert np.allclose(hadamard, np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-15)
+    assert np.allclose(unistochastic_of(hadamard), UNIFORMIZER, atol=1e-15)
+
+
 def test_unistochastic_of_rejects_non_unitary():
     with pytest.raises(ValueError):
         unistochastic_of(UNIFORMIZER)
@@ -164,6 +226,21 @@ def test_unistochastic_of_is_doubly_stochastic():
             g = unistochastic_of(haar_unitary(dim, rng))
             as_stochastic_matrix(g)  # the shared rule on the columns ...
             as_probabilities(g, 2, 1, "g", "have rows summing to 1")  # ... and on the rows
+
+
+@pytest.mark.parametrize(
+    "gamma, message",
+    [(np.array([[1.0, 0.0], [0.0, np.inf]]), "^gamma contains non-finite entries$"),
+     (np.array([[np.nan, 0.0], [0.0, 1.0]]), "^gamma contains non-finite entries$"),
+     (np.array([[1.5, 0.0], [-0.5, 1.0]]), r"^gamma: entries must be probabilities in \[0, 1\]$"),
+     (np.array([[-0.1, 0.0], [1.1, 1.0]]), r"^gamma: entries must be probabilities in \[0, 1\]$"),
+     (np.zeros((0, 0)), r"^gamma must have 2 non-empty axes, got shape \(0, 0\)$"),
+     (np.array([0.5, 0.5]), r"^gamma must have 2 non-empty axes, got shape \(2,\)$")],
+    ids=["inf", "nan", "above_one", "negative", "empty", "vector"],
+)
+def test_stochastic_matrix_rejects_non_finite_and_out_of_range_input(gamma, message):
+    with pytest.raises(ValueError, match=message):
+        as_stochastic_matrix(gamma)
 
 
 def test_dilation_identity():

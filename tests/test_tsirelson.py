@@ -122,6 +122,64 @@ def test_sides_commute_exactly():
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-12
 
 
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def manual_kron(a, b):
+    """Independent Kronecker product: explicit index loops."""
+    out = np.zeros((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]), dtype=complex)
+    for i in range(a.shape[0]):
+        for j in range(a.shape[1]):
+            for k in range(b.shape[0]):
+                for l in range(b.shape[1]):
+                    out[i * b.shape[0] + k, j * b.shape[1] + l] = a[i, j] * b[k, l]
+    return out
+
+
+def test_kron_identities():
+    assert np.array_equal(tsirelson._kron(np.eye(2), np.eye(3)), np.eye(6))
+
+
+def test_kron_projectors():
+    got = tsirelson._kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert np.array_equal(got, np.diag([0.0, 1.0, 0.0, 0.0]))
+
+
+def test_kron_flips_both_bits():
+    xx = tsirelson._kron(X, X)
+    assert np.allclose(xx @ basis_state(4, 0), basis_state(4, 3))
+    assert np.array_equal(xx, manual_kron(X, X))
+
+
+def test_kron_matches_manual_kron_on_random_stacks():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 2, 3, 3)) + 1j * rng.standard_normal((4, 2, 3, 3))
+    b = rng.standard_normal((4, 2, 2, 2)) + 1j * rng.standard_normal((4, 2, 2, 2))
+    got = tsirelson._kron(a, b)
+    assert got.shape == (4, 2, 6, 6)
+    for i in range(4):
+        for j in range(2):
+            assert np.allclose(got[i, j], manual_kron(a[i, j], b[i, j]), atol=1e-15)
+
+
+def test_local_dichotomic_of_a_stack_is_the_stack_of_each():
+    rng = np.random.default_rng(9)
+    setup = random_setup((3, 2), rng)
+    stacked = tsirelson._local_dichotomic(np.stack((setup.a0, setup.a1)), setup.alice_outcome)
+    for k, u in enumerate((setup.a0, setup.a1)):
+        assert np.allclose(stacked[k], tsirelson._local_dichotomic(u, setup.alice_outcome), atol=1e-15)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_chsh_operator_matches_manual_kron_of_local_observables(dims):
+    setup = random_setup(dims, np.random.default_rng(sum(dims)))
+    local = tsirelson._local_dichotomic
+    a0, a1 = (local(u, setup.alice_outcome) for u in (setup.a0, setup.a1))
+    b0, b1 = (local(u, setup.bob_outcome) for u in (setup.b0, setup.b1))
+    expected = manual_kron(a0, b0 + b1) + manual_kron(a1, b0 - b1)
+    assert np.allclose(chsh_operator(setup), expected, atol=1e-13)
+
+
 def test_chsh_operator_identity_setup_collapses():
     setup = identity_setup()
     z = np.diag([1.0, -1.0]).astype(complex)
