@@ -65,25 +65,24 @@ def _comma_list(spec: str, flag: str, form: str, cast, what: str) -> list:
         raise ConfigError(f"{flag} must be {what}, got {spec!r}") from exc
 
 
-def _bound_margin(strategy, box) -> float | None:
-    """Margin below the Tsirelson ceiling, for quantum setups only.
+def _bound_margin(score: float) -> float:
+    """Margin of a uniform-input score below the Tsirelson ceiling.
 
-    The ceiling bounds the uniform-input score, so the margin is taken from
-    that score whatever input distribution the report is about.
+    The ceiling bounds the uniform-input score, so a report about other
+    inputs still takes the margin from that score.
     """
-    if not isinstance(strategy, QuantumSetup):
-        return None
-    return TSIRELSON_SCORE - abs(_score(box))
+    return TSIRELSON_SCORE - abs(score)
 
 
 def _score_report(strategy, box, inputs=UNIFORM_INPUTS) -> dict:
-    """The score keys of a strategy's validated box, under validated inputs."""
+    """The score keys of a strategy's validated box, under validated inputs;
+    the margin is for quantum setups only."""
     score = _score(box, inputs)
     return {
         "exact_score": score,
         "exact_win_probability": win_probability(score),
         "ns_check": "pass" if _witness(box) is None else "fail",
-        "bound_margin": _bound_margin(strategy, box),
+        "bound_margin": _bound_margin(_score(box)) if isinstance(strategy, QuantumSetup) else None,
     }
 
 
@@ -221,7 +220,7 @@ def cmd_audit(args) -> dict:
         # Local operations enter only as a tensor product, and each factor is
         # checked unitary on load: the joint operation factorizes by construction.
         report["factorization"] = "pass"
-    report["bound_margin"] = _bound_margin(strategy, box)
+        report["bound_margin"] = _bound_margin(_score(box))
     return report
 
 
@@ -240,7 +239,7 @@ def cmd_optimize(args) -> dict:
     return {
         "best_score": result.score,
         "best_win_probability": win_probability(result.score),
-        "bound_margin": TSIRELSON_SCORE - abs(result.score),
+        "bound_margin": _bound_margin(result.score),
         "restarts": args.restarts,
         "seed": args.seed,
         "config_path": args.out,

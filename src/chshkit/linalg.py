@@ -159,7 +159,7 @@ def _first(bad: np.ndarray, name: str) -> tuple[tuple[int, ...], str]:
 
 
 def _checked_matrices(a: np.ndarray, name: str) -> np.ndarray:
-    """Size and finiteness checks for a complex matrix or a stack of them."""
+    """Size, finiteness and square checks for a complex matrix or a stack of them."""
     if max(a.shape[-2:]) > MAX_DIM:
         raise ValueError(
             f"{name} is {a.shape[-2]}x{a.shape[-1]}; dimensions above {MAX_DIM} are not supported"
@@ -167,6 +167,8 @@ def _checked_matrices(a: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(a).all():
         where = _first(~np.isfinite(a).all(axis=(-2, -1)), name)[1]
         raise ValueError(f"{where} contains non-finite entries")
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
@@ -212,10 +214,7 @@ def _as_square(m, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or 0 in a.shape:
         raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    a = _checked_matrices(a, name)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a
+    return _checked_matrices(a, name)
 
 
 def _as_hermitian(h, name: str) -> np.ndarray:
@@ -229,10 +228,7 @@ def _as_hermitian(h, name: str) -> np.ndarray:
 
 def assert_unitary(u, name: str = "matrix") -> np.ndarray:
     """Validate unitarity and return the coerced matrix; raise otherwise."""
-    a = np.asarray(u, dtype=complex)
-    if a.ndim != 2 or 0 in a.shape:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    return assert_unitaries(a, name)
+    return _unitaries(_as_square(u, name), name)
 
 
 def assert_unitaries(u, name: str = "matrix") -> np.ndarray:
@@ -244,9 +240,11 @@ def assert_unitaries(u, name: str = "matrix") -> np.ndarray:
     a = np.asarray(u, dtype=complex)
     if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
         raise ValueError(f"{name} must be a 2-d matrix or a stack of them, got shape {a.shape}")
-    a = _checked_matrices(a, name)
-    if a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    return _unitaries(_checked_matrices(a, name), name)
+
+
+def _unitaries(a: np.ndarray, name: str) -> np.ndarray:
+    """``a``, a checked square matrix or stack of them, if each is unitary; raise otherwise."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives NaN or inf, not a warning
         gram = a.conj().swapaxes(-1, -2) @ a
     dev = np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))  # largest entry of |a^dag a - 1|

@@ -126,9 +126,10 @@ def _sum_difference(s: np.ndarray) -> np.ndarray:
     return np.stack((s0 + s1, s0 - s1), axis=-3)
 
 
-def _chsh(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """The CHSH operator of settings-stacked local observables ``(..., 2, d, d)``."""
-    terms = _kron(sa, _sum_difference(sb))
+def _chsh(sa: np.ndarray, sums_b: np.ndarray) -> np.ndarray:
+    """The CHSH operator of Alice's settings-stacked observables ``(..., 2, d, d)``
+    and Bob's ``_sum_difference`` of his."""
+    terms = _kron(sa, sums_b)
     return terms[..., 0, :, :] + terms[..., 1, :, :]
 
 
@@ -136,7 +137,7 @@ def chsh_operator(setup: QuantumSetup) -> np.ndarray:
     """The CHSH operator ``A0 (x) (B0 + B1) + A1 (x) (B0 - B1)`` of the four local observables."""
     sa = _local_dichotomic(np.stack((setup.a0, setup.a1)), setup.alice_outcome)
     sb = _local_dichotomic(np.stack((setup.b0, setup.b1)), setup.bob_outcome)
-    return _chsh(sa, sb)
+    return _chsh(sa, _sum_difference(sb))
 
 
 def _quarter_expectation(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -165,7 +166,9 @@ def _draw_starts(dims: tuple[int, int], rngs) -> tuple[np.ndarray, np.ndarray, n
     """
     da, db = dims
     n = da * db
-    x = np.stack([rng.standard_normal(2 * n + 4 * (da * da + db * db)) for rng in rngs])
+    x = np.empty((len(rngs), 2 * n + 4 * (da * da + db * db)))
+    for row, rng in zip(x, rngs):
+        rng.standard_normal(out=row)
     z = x[:, :n] + 1j * x[:, n : 2 * n]
     ga = x[:, 2 * n : 2 * n + 4 * da * da].reshape(-1, 2, 2, da, da)
     gb = x[:, 2 * n + 4 * da * da :].reshape(-1, 2, 2, db, db)
@@ -215,8 +218,12 @@ def _seesaw_stack(a, b, alice, bob, tol: float):
     ``a`` and ``b`` stack each restart's two local unitaries per side,
     ``(n, 2, da, da)`` and ``(n, 2, db, db)``.  Every step maximizes the
     CHSH expectation over one part with the others held fixed, so a
-    restart's score never decreases from round to round.  Each round runs
-    only the restarts still active; a restart freezes with the state and
+    restart's score never decreases from round to round.  A round makes
+    three stacked eigendecompositions (the state's, Alice's and Bob's) and
+    takes each side's ``_sum_difference`` once: Bob's feed both the CHSH
+    operator and Alice's partial trace, Alice's Bob's partial trace.  Each
+    round runs only the restarts still active, as views of the whole stack
+    until the first one freezes; a restart freezes with the state and
     unitaries of the round that gained less than ``tol``.  Returns the
     states, the unitaries, and the number of rounds each restart ran
     (``_MAX_ROUNDS`` for one that hit the cap).
@@ -225,35 +232,46 @@ def _seesaw_stack(a, b, alice, bob, tol: float):
     n, da, db = a.shape[0], a.shape[-1], b.shape[-1]
     state = np.zeros((n, da * db), dtype=complex)
     rounds = np.full(n, _MAX_ROUNDS)
-    active = np.arange(n)
+    active = slice(None)  # every restart, indexed without a copy, until one freezes
     best = np.full(n, -math.inf)
     sa = _local_dichotomic(a, alice)
     for round_ in range(1, _MAX_ROUNDS + 1):
-        sb = _local_dichotomic(b[active], bob)
-        state[active] = np.linalg.eigh(_chsh(sa, sb))[1][..., -1]
+        sums_b = _sum_difference(_local_dichotomic(b[active], bob))
+        state[active] = np.linalg.eigh(_chsh(sa, sums_b))[1][..., -1]
         psi = state[active].reshape(-1, 1, da, db)  # broadcast over the settings axis
         psi_h = _T(psi.conj())
-        a_new = _best_response(psi @ _T(_sum_difference(sb)) @ psi_h, alice)[0]
+        a_new = _best_response(psi @ _T(sums_b) @ psi_h, alice)[0]
         sa = _local_dichotomic(a_new, alice)
         b_new, maxima = _best_response(_T(psi_h @ _sum_difference(sa) @ psi), bob)
         a[active], b[active] = a_new, b_new
         score = (maxima[:, 0] + maxima[:, 1]) / 4.0
         going = ~(score - best < tol)
-        rounds[active[~going]] = round_
-        active, sa, best = active[going], sa[going], score[going]
-        if not active.size:
-            break
+        if not going.all():
+            index = np.arange(n)[active]
+            rounds[index[~going]] = round_
+            if not going.any():
+                break
+            active, sa, score = index[going], sa[going], score[going]
+        best = score
     return state, a, b, rounds
 
 
 def _assert_restarts(state, a, b) -> None:
     """The state and unitary checks of ``QuantumSetup``, on a block of restarts.
 
-    An error names the field, as the setup would, and the restart's index
-    within its block.
+    One ``assert_unitaries`` call checks each side's ``(n, 2, d, d)`` stack
+    and one ``as_state_vectors`` call the states.  Only when a side fails
+    are the four fields checked one by one, in the setup's order ``a0``,
+    ``a1``, ``b0``, ``b1``, so an error names the first failing field, as
+    the setup would, and the restart's index within its block.
     """
-    for name, u in (("a0", a[:, 0]), ("a1", a[:, 1]), ("b0", b[:, 0]), ("b1", b[:, 1])):
-        assert_unitaries(u, name)
+    try:
+        assert_unitaries(a, "a")
+        assert_unitaries(b, "b")
+    except ValueError:
+        # The field checks make the same per-matrix tests, so one of them raises.
+        for name, u in (("a0", a[:, 0]), ("a1", a[:, 1]), ("b0", b[:, 0]), ("b1", b[:, 1])):
+            assert_unitaries(u, name)
     as_state_vectors(state, "state")
 
 
@@ -288,16 +306,17 @@ def optimize(
     CHSH operator; each of Alice's observables becomes the best response to
     her partial trace of the state against Bob's combination ``B0 +- B1``;
     Bob's follow the same way against ``A0 +- A1``.  Each side's two responses come from one stacked
-    eigendecomposition.  Rounds stop once one gains less than ``tol``.
-    Restarts run in blocks of ``_RESTART_BLOCK`` (64) as stacked arrays
-    through one seesaw kernel, so memory does not grow with ``restarts``;
-    each restart's result still depends only on ``(seed, k)``.  Ties across
-    restarts break toward the lowest restart index, so the result does not
-    depend on how restarts are scheduled.  The returned score is the chosen
-    restart's score as its block computed it.  Every start and every result
-    gets the checks a ``QuantumSetup`` makes; a failure raises their
-    ``ValueError``, naming the field and the restart's index within its
-    block.
+    eigendecomposition, so a round makes three.  Rounds stop once one gains
+    less than ``tol``.  Restarts run in blocks of ``_RESTART_BLOCK`` (64) as
+    stacked arrays through one seesaw kernel, so memory does not grow with
+    ``restarts``; each restart's result still depends only on ``(seed, k)``.
+    Ties across restarts break toward the lowest restart index, so the
+    result does not depend on how restarts are scheduled.  The returned
+    score is the chosen restart's score as its block computed it.  Every
+    start and every result gets the checks a ``QuantumSetup`` makes, as one
+    stacked unitarity check per side and one state check per block at each
+    of the two checks; a failure raises their ``ValueError``, naming the
+    field and the restart's index within its block.
     """
     da, db = as_dims(dims)
     if da < 2 or db < 2:
@@ -320,7 +339,7 @@ def optimize(
         state, a, b, rounds = _seesaw_stack(a, b, alice, bob, tol)
         _assert_restarts(state, a, b)
         sa, sb = _local_dichotomic(a, alice), _local_dichotomic(b, bob)
-        scores = _quarter_expectation(_chsh(sa, sb), state).tolist()
+        scores = _quarter_expectation(_chsh(sa, _sum_difference(sb)), state).tolist()
         for k, score in enumerate(scores):
             if score > best_score:
                 best, best_score = [m.copy() for m in (state[k], *a[k], *b[k])], score

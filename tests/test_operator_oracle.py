@@ -137,7 +137,9 @@ def test_optimize_validates_each_block_once_and_builds_one_setup(monkeypatch):
     monkeypatch.setattr(tsirelson.QuantumSetup, "__post_init__", counting_post_init)
     result = tsirelson.optimize((2, 2), restarts=tsirelson._RESTART_BLOCK + 5)
     assert len(result.restart_scores) == tsirelson._RESTART_BLOCK + 5
-    # Four fields, on the starts and on the results, of each of the two blocks.
-    assert len(unitaries) == 4 * 2 * 2
+    # One stack per side, on the starts and on the results, of each of the two blocks.
+    assert len(unitaries) == 2 * 2 * 2
+    sizes = [tsirelson._RESTART_BLOCK] * 4 + [5] * 4
+    assert [args[0].shape for args in unitaries] == [(n, 2, 2, 2) for n in sizes]
     assert len(states) == 2 * 2
     assert len(built) == 1 and built[0] is result.setup

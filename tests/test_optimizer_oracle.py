@@ -237,6 +237,43 @@ def test_block_checks_raise_on_a_bad_seesaw_result(monkeypatch):
         optimize((2, 2), restarts=3, seed=1)
 
 
+def scaled(u):
+    u *= 1.5
+
+
+def nan_entry(u):
+    u[0, 0] = np.nan
+
+
+# Two restarts of one block fail in different fields, or in one field in
+# different ways; the error names the field a setup checks first (a0, a1, b0,
+# b1, then the state), and within that field the lowest restart.
+@pytest.mark.parametrize("stage", ["_draw_starts", "_seesaw_stack"])
+@pytest.mark.parametrize("marks, restart, want", [
+    ([("a1", 0, scaled), ("a0", 3, scaled)], 3, "a0[3] is not unitary within"),
+    ([("b1", 0, nan_entry), ("a0", 2, scaled)], 2, "a0[2] is not unitary within"),
+    ([("a0", 1, scaled), ("a0", 0, nan_entry)], 0, "a0[0] contains non-finite entries"),
+    ([("b0", 0, nan_entry), ("a1", 4, scaled)], 4, "a1[4] is not unitary within"),
+    ([("state", 0, scaled), ("b1", 5, scaled)], 5, "b1[5] is not unitary within"),
+])
+def test_a_block_error_names_the_first_field_in_setup_order(monkeypatch, stage, marks, restart, want):
+    step, seen = getattr(tsirelson, stage), {}
+
+    def corrupted(*args):
+        out = step(*args)
+        state, a, b = out[:3]
+        for field, k, how in marks:
+            how(state[k] if field == "state" else {"a": a, "b": b}[field[0]][k, int(field[1])])
+        seen["error"] = per_setup_error(state[restart], a[restart], b[restart], restart)
+        return out
+
+    monkeypatch.setattr(tsirelson, stage, corrupted)
+    with pytest.raises(ValueError) as excinfo:
+        optimize((2, 2), restarts=6, seed=1)
+    assert str(excinfo.value) == seen["error"]
+    assert seen["error"].startswith(want)
+
+
 def peak_bytes(dims, restarts):
     optimize(dims, restarts=1, seed=0)  # numpy and LAPACK set-up out of the measurement
     tracemalloc.start()
