@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple, Union
 import numpy as np
 
 from .causality import INFLUENCE_TOL, _remote_spread
-from .linalg import as_bits, as_integer, as_probabilities, as_seed, as_tolerance, substream
+from .linalg import Substreams, as_bits, as_integer, as_probabilities, as_seed, as_tolerance
 from .tsirelson import QuantumSetup
 
 #: Default no-signaling tolerance: the influence tolerance, as both read the
@@ -307,18 +307,16 @@ class SimulationChunk(NamedTuple):
     r: np.ndarray
 
 
-def _simulate_chunk(cum: np.ndarray, seed: int, chunk_index: int, count: int):
+def _simulate_chunk(cum: np.ndarray, rng: np.random.Generator, count: int):
     """The ``x``, ``y``, ``q``, ``r`` columns (``int8``) of one chunk of rounds.
 
-    Two uniform draws per round: the first picks the input pair ``2x + y``,
-    the second the outcome pair ``2q + r`` as the number of CDF entries of
-    that input pair's row lying strictly below it.  Only the first three
-    columns of ``cum`` are compared, one 1-D threshold gather each: the last
-    is 1.0, which no draw in [0, 1) reaches.
+    Two uniform draws from ``rng`` per round: the first picks the input pair
+    ``2x + y``, the second the outcome pair ``2q + r`` as the number of CDF
+    entries of that input pair's row lying strictly below it.  Only the first
+    three columns of ``cum`` are compared, one 1-D threshold gather each: the
+    last is 1.0, which no draw in [0, 1) reaches.
     """
-    # A fresh generator, not a re-keyed one: chunks may be drawn on the worker
-    # thread, and ~10 us is little beside a ~2.4 ms chunk.
-    u = substream(seed, chunk_index).random((2, count))
+    u = rng.random((2, count))
     setting = (u[0] * 4.0).astype(np.int8)  # u <= 1 - 2**-53 and * 4.0 is exact: at most 3
     index = setting.astype(np.intp)
     outcome = np.zeros(count, dtype=np.int8)
@@ -332,12 +330,13 @@ def simulate_chunks(strategy: Strategy, n: int, seed: int) -> Iterator[Simulatio
 
     Each round draws the input pair uniformly and the outcome pair by
     inverse-CDF sampling from the strategy's box conditioned on the inputs.
-    Rounds are produced in chunks of ``CHUNK_ROUNDS`` whose substreams depend
-    only on ``(seed, chunk_index)``, so a longer run extends a shorter one's
-    whole chunks unchanged.  The box is built and validated by this call,
-    and ``n`` (an integer: ``10.0`` is one, ``10.5`` is not) and ``seed``
-    are checked, before the first chunk is drawn, so a caller can fail
-    before it opens its output.
+    Rounds are produced in chunks of ``CHUNK_ROUNDS``; chunk ``c`` draws from
+    substream ``c`` of ``seed``, and one :class:`~chshkit.linalg.Substreams`
+    pass re-keys one generator for every chunk of the run, so a longer run
+    extends a shorter one's whole chunks unchanged.  The box is built and
+    validated by this call, and ``n`` (an integer: ``10.0`` is one, ``10.5``
+    is not) and ``seed`` are checked, before the first chunk is drawn, so a
+    caller can fail before it opens its output.
 
     Where this process may run on more than one CPU, a run of more than one
     chunk draws the next chunk on one worker thread while the caller uses
@@ -362,40 +361,37 @@ def _chunks(box: np.ndarray, n: int, seed: int) -> Iterator[SimulationChunk]:
     Returns a generator: nothing is drawn and no thread starts before the
     first chunk is asked for.  With one usable CPU, or one chunk, each
     chunk is drawn when asked for; otherwise one chunk is drawn ahead.
+    Either way only one thread ever advances the chunk generator, so its
+    one re-keyed generator is never shared.
     """
     n = as_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     cum = _outcome_cumulatives(box)
-    seed = as_seed(seed)
-    starts = range(0, n, CHUNK_ROUNDS)
-
-    def draw(i: int) -> SimulationChunk:
-        start = starts[i]
-        return SimulationChunk(start, *_simulate_chunk(cum, seed, i, min(CHUNK_ROUNDS, n - start)))
-
-    if len(starts) == 1 or _usable_cpus() == 1:
-        return (draw(i) for i in range(len(starts)))
-    return _drawn_ahead(draw, len(starts))
+    rngs = Substreams(seed, range(-(-n // CHUNK_ROUNDS)))
+    chunks = (SimulationChunk(start, *_simulate_chunk(cum, rng, min(CHUNK_ROUNDS, n - start)))
+              for start, rng in zip(range(0, n, CHUNK_ROUNDS), rngs))
+    if n <= CHUNK_ROUNDS or _usable_cpus() == 1:
+        return chunks
+    return _drawn_ahead(chunks)
 
 
-def _drawn_ahead(draw, count: int) -> Iterator[SimulationChunk]:
-    """``draw(0)``, ..., ``draw(count - 1)``, each drawn on one worker thread
-    while the caller uses the one before it.
+def _drawn_ahead(chunks: Iterator[SimulationChunk]) -> Iterator[SimulationChunk]:
+    """The items of ``chunks``, each drawn on one worker thread while the
+    caller uses the one before it.
 
-    The worker runs ``draw`` only, and at most one chunk is drawn ahead, so
-    memory stays that of a few chunks whatever ``count`` is.  An exception
-    raised by a draw reaches the caller when that chunk is due; closing the
-    generator waits for the draw in flight and joins the worker.
+    Only the worker advances ``chunks``, and at most one chunk is drawn
+    ahead, so memory stays that of a few chunks however many there are.  An
+    exception raised by a draw reaches the caller when that chunk is due;
+    closing the generator waits for the draw in flight and joins the worker.
     """
     from concurrent.futures import ThreadPoolExecutor  # about 5 ms to import: only when used
 
     with ThreadPoolExecutor(1) as worker:
-        ahead = worker.submit(draw, 0)
-        for i in range(1, count):
-            current, ahead = ahead.result(), worker.submit(draw, i)
+        ahead = worker.submit(next, chunks, None)
+        while (current := ahead.result()) is not None:
+            ahead = worker.submit(next, chunks, None)
             yield current
-        yield ahead.result()
 
 
 def simulate_rounds(strategy: Strategy, n: int, seed: int) -> SimulationResult:

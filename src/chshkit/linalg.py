@@ -36,28 +36,20 @@ _UINT64_MAX = (1 << 64) - 1
 RESTART_BLOCK = 64
 
 
-def substream(seed: int, k: int) -> np.random.Generator:
-    """Counter-based generator for substream ``k`` of ``seed``.
-
-    Every seeded routine draws its randomness from a Philox generator keyed
-    by ``[seed, k]`` for its own counter ``k`` (a chunk or a restart), so a
-    result depends only on the seed and never on how the work is scheduled.
-    This is the one-key case of :class:`Substreams`, which writes that key;
-    the generator is the caller's own.
-    """
-    return next(iter(Substreams(seed, range(k, k + 1))))
-
-
 class Substreams:
     """Substreams ``k`` of ``seed`` for each ``k`` of ``ks`` in order: a sized
-    sequence of generators, each drawing what ``substream(seed, k)`` draws.
+    sequence of Philox generators, the one for ``k`` keyed by ``[seed, k]``.
 
+    Every seeded routine (a simulate run, an optimize or a dilation search)
+    draws its randomness from these, one substream per chunk or restart, so
+    a result depends only on the seed and never on how the work is scheduled.
     One pass makes one ``Philox`` and one ``Generator`` and re-keys them for
-    each ``k`` (counter zeroed, key ``[seed, k]``, buffer emptied).  A
-    fresh ``Philox`` draws 128 bits of OS entropy that its key then
-    replaces; a re-key draws none.  Each generator a pass yields is valid
-    only until the next is taken.  Nothing is shared between passes or
-    instances, so calls in two threads never share generator state.
+    each ``k`` (counter zeroed, key ``[seed, k]``, buffer emptied): each draws
+    what a fresh ``Philox(key=[seed, k])`` would.  A fresh ``Philox`` draws
+    128 bits of OS entropy that its key then replaces; a re-key draws none.
+    Each generator a pass yields is valid only until the next is taken.
+    Nothing is shared between passes or instances, so calls in two threads
+    never share generator state.
     """
 
     def __init__(self, seed: int, ks: range):

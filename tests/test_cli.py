@@ -863,6 +863,17 @@ def test_simulate_io_errors_leave_no_thread_behind(tmp_path, capsys, out):
         assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
 
 
+def test_simulate_of_more_rounds_than_a_machine_word_counts_fails_on_io_alone(tmp_path, capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    argv = ["simulate", "--config", simulate_config(tmp_path, "ns_box"), "--n", str(10**27),
+            "--seed", "1", "--out", "/dev/full"]
+    before = threading.active_count()
+    assert main(argv) == 4
+    assert threading.active_count() == before
+    assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+
+
 #: Runs ``cli.main`` on its argv in an interpreter limited to one CPU, where
 #: chunks are drawn inline: starting a thread fails the run.
 ONE_CPU_LAUNCHER = """

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from chshkit import stochastic
-from chshkit.linalg import RESTART_BLOCK, haar_unitary, substream
+from chshkit.linalg import RESTART_BLOCK, haar_unitary
 from chshkit.stochastic import _MAX_ITERATIONS, DIVISION_TOL, dilation_report
 
 #: Doubly stochastic but not unistochastic.
@@ -36,10 +36,15 @@ GAMMA_4X4 = np.array([
 SEEDS = (0, 7, 2**64 - 1)
 
 
+def philox(seed, k):
+    """Substream ``k`` of ``seed``, built here rather than through ``linalg.Substreams``."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+
+
 def oracle_restart(gamma, tol, seed, restart):
     """One restart: ``(unitary or None, residual, iterations run)``."""
     roots = np.sqrt(np.clip(gamma, 0.0, None))
-    m = roots * np.exp(2j * np.pi * substream(seed, restart).random(gamma.shape))
+    m = roots * np.exp(2j * np.pi * philox(seed, restart).random(gamma.shape))
     best = np.inf
     checkpoint = np.inf
     for iteration in range(_MAX_ITERATIONS):

@@ -345,11 +345,13 @@ def test_an_error_drawing_a_chunk_reaches_the_caller_after_the_chunks_before_it(
         pass
 
     draw = game._simulate_chunk
+    calls = []
 
-    def failing(cum, seed, chunk_index, count):
-        if chunk_index == 2:
+    def failing(cum, rng, count):
+        calls.append(count)
+        if len(calls) == 3:
             raise DrawError("chunk 2 failed")
-        return draw(cum, seed, chunk_index, count)
+        return draw(cum, rng, count)
 
     monkeypatch.setattr(game, "_simulate_chunk", failing)
     before = threading.active_count()
@@ -359,3 +361,27 @@ def test_an_error_drawing_a_chunk_reaches_the_caller_after_the_chunks_before_it(
         next(chunks)
     assert type(raised.value) is DrawError and str(raised.value) == "chunk 2 failed"
     assert threading.active_count() == before
+
+
+def test_a_run_too_long_to_count_in_a_machine_word_yields_its_first_chunk():
+    before = threading.active_count()
+    chunks = simulate_chunks(NSBox(0.5), 10**27, seed=1)
+    first = next(chunks)
+    assert first.start == 0 and len(first.x) == CHUNK_ROUNDS
+    chunks.close()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_run_builds_one_philox_for_all_its_chunks(monkeypatch, cpus):
+    philox, built = np.random.Philox, []
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(game, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(np.random, "Philox", counted)
+    starts = [chunk.start for chunk in simulate_chunks(NSBox(0.5), 5 * CHUNK_ROUNDS, seed=5)]
+    assert starts == [k * CHUNK_ROUNDS for k in range(5)]
+    assert len(built) == 1

@@ -1,15 +1,21 @@
-"""Every name a ``chshkit`` module imports is used in that module.
+"""Every name a ``chshkit`` module imports is used in that module, and every
+public function or class it defines is reached.
 
 No linter runs on the package, so this reads each module's syntax tree: a
 top-level ``import`` or ``from ... import`` binds names, and each must be
 read somewhere in the module, as a name or as the base of an attribute.
-A test that patches a module attribute does not count as a use.
+A test that patches a module attribute does not count as a use.  A
+top-level ``def`` or ``class`` whose name has no leading ``_`` must be read
+by some ``chshkit`` module or exported by ``chshkit.__all__``, unless
+``UNREACHED`` says why it stays.
 """
 
 import ast
 import os
 
 import pytest
+
+import chshkit
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "chshkit")
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
@@ -40,3 +46,49 @@ def test_unused_imports_flags_only_unread_names():
 def test_module_imports_only_names_it_uses(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+#: Public names no ``chshkit`` module reads and ``chshkit.__all__`` does not
+#: export, each with the reason it stays.
+UNREACHED = {
+    "basis_state": "configuration-basis states; the README's integer rule names its checks",
+    "haar_unitary": "Haar inputs for the README's dilate limits table and the dilation tests",
+    "spectral_norm": "the operator-norm side of the Tsirelson acceptance check",
+    "random_setup": "one restart's random start, the building block of the optimizer and box oracles",
+    "product_joint": "a non-interacting joint for the causal-influence acceptance check",
+    "swap_joint": "an interacting joint for the causal-influence acceptance check",
+    "one_way_copy_joint": "a one-way-influence joint for the causal-influence acceptance check",
+    "correlated_noise_joint": "correlated but non-interacting joint for the causal-influence acceptance check",
+    "score_from_loss_terms": "one of the three score formulas kept as cross-checks",
+    "score_from_correlators": "one of the three score formulas kept as cross-checks",
+    "format_records": "the README's record text of a chunk; the benchmark traces it",
+}
+
+
+def unreached_names(sources: list[str], exported: set[str]) -> list[str]:
+    """The public top-level functions and classes ``sources`` define that no
+    source reads, as a name or an attribute, and ``exported`` leaves out."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read | exported]
+
+
+def test_unreached_names_flags_only_public_names_nothing_reads():
+    sources = ["def used(): pass\ndef exported(): pass\nclass Lone: pass\ndef _private(): pass\n",
+               "import m\nm.used\ndef lone(): pass\n"]
+    assert unreached_names(sources, {"exported"}) == ["Lone", "lone"]
+
+
+def test_every_public_name_is_read_exported_or_allowed():
+    sources = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources.append(fh.read())
+    assert sorted(unreached_names(sources, set(chshkit.__all__))) == sorted(UNREACHED)

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chshkit import game
 from chshkit.causality import causally_independent
 from chshkit.cli import _record_rows, format_records, main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
@@ -36,7 +35,7 @@ from chshkit.game import (
     ns_box,
     signaling_witness,
 )
-from chshkit.linalg import basis_state, haar_unitary, substream
+from chshkit.linalg import basis_state, haar_unitary
 from chshkit.stochastic import qcor
 from chshkit.tsirelson import MAX_JOINT_DIM, canonical_setup, random_setup, score_of_setup
 
@@ -284,6 +283,11 @@ sampled_strategies = st.one_of(
 )
 
 
+def philox(seed, k):
+    """Substream ``k`` of ``seed``, built here rather than through ``linalg.Substreams``."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+
+
 @PROPERTY
 @given(
     strategy=sampled_strategies,
@@ -294,21 +298,21 @@ sampled_strategies = st.one_of(
 def test_chunk_sampler_matches_row_gather_oracle(strategy, seed, chunk_indices, count):
     cum = _outcome_cumulatives(box_of_strategy(strategy))
     for chunk_index in chunk_indices:
-        u = substream(seed, chunk_index).random((2, count))
-        _assert_columns_equal(_simulate_chunk(cum, seed, chunk_index, count), _sampler_oracle(cum, u))
+        u = philox(seed, chunk_index).random((2, count))
+        _assert_columns_equal(_simulate_chunk(cum, philox(seed, chunk_index), count), _sampler_oracle(cum, u))
 
 
 @pytest.mark.parametrize("strategy", [NSBox(1.0), NSBox(-1.0), NSBox(0.0), Deterministic((0, 1), (1, 1))])
-def test_chunk_sampler_counts_strict_hits_on_draws_that_tie_a_cdf_entry(monkeypatch, strategy):
+def test_chunk_sampler_counts_strict_hits_on_draws_that_tie_a_cdf_entry(strategy):
     # Seeded draws almost never equal a CDF entry exactly, so these are fed
     # in: every input pair against each of 0, 1/4, 1/2 and 3/4 and their
     # neighbours.  A ``<=`` compare would count a tied entry as passed.
     ties = [0.0, 0.25, 0.5, 0.75]
     second = ties + [np.nextafter(t, 1.0) for t in ties] + [np.nextafter(t, 0.0) for t in ties[1:]]
     u = np.array([(first, v) for first in ties for v in second]).T
-    monkeypatch.setattr(game, "substream", lambda seed, k: SimpleNamespace(random=lambda shape: u))
+    rng = SimpleNamespace(random=lambda shape: u)
     cum = _outcome_cumulatives(box_of_strategy(strategy))
-    _assert_columns_equal(_simulate_chunk(cum, 0, 0, u.shape[1]), _sampler_oracle(cum, u))
+    _assert_columns_equal(_simulate_chunk(cum, rng, u.shape[1]), _sampler_oracle(cum, u))
 
 
 def _witness_oracle(box, tol):
