@@ -23,7 +23,6 @@ _EXPORTS = {
         "NSBox",
         "SharedRandomness",
         "SimulationChunk",
-        "SimulationResult",
         "Strategy",
         "box_of_strategy",
         "enumerate_deterministic",
@@ -31,7 +30,6 @@ _EXPORTS = {
         "is_no_signaling",
         "ns_box",
         "simulate_chunks",
-        "simulate_rounds",
         "win_probability",
     ),
     "linalg": (

@@ -37,7 +37,7 @@ from .game import (
     win_probability,
     wins,
 )
-from .linalg import as_integer, as_seed, as_tolerance
+from .linalg import as_seed, as_tolerance
 from .tsirelson import TSIRELSON_SCORE, QuantumSetup, optimize
 
 EXIT_OK = 0
@@ -150,35 +150,6 @@ def _record_rows(rounds, start: int, buf: np.ndarray) -> np.ndarray:
         block[:, width:].view(f"V{tail}")[...] = tails[lo - start : hi - start]
         lo, filled = hi, filled + size
     return buf[:filled]
-
-
-def format_records(rounds, start: int = 0) -> str:
-    """Record file rows for the ``x``, ``y``, ``q``, ``r`` columns of
-    ``rounds``, numbered from ``start``; the header opens the file, so it
-    comes first when ``start`` is 0.
-
-    The rows are the text of the bytes :func:`_record_rows` writes, the
-    bytes ``simulate`` writes to its record file.  The four columns must
-    be 1-d and of one length, and every entry must be a bit, 0 or 1.
-    """
-    start = as_integer(start, "start")
-    if start < 0:
-        raise ValueError(f"start must be non-negative, got {start}")
-    columns = {name: np.asarray(getattr(rounds, name)) for name in "xyqr"}
-    for name, column in columns.items():
-        if column.ndim != 1:
-            raise ValueError(f"column {name} must be 1-d, got shape {column.shape}")
-    lengths = [len(column) for column in columns.values()]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"columns x, y, q, r must have one length, got {', '.join(map(str, lengths))}")
-    for name, column in columns.items():
-        off = column[(column != 0) & (column != 1)]
-        if off.size:
-            raise ValueError(f"column {name} must hold bits (0 or 1), got {off[0].item()!r}")
-    count = lengths[0]
-    buf = np.empty(count * _row_bytes(start + count - 1), dtype=np.uint8)
-    rows = str(_record_rows(rounds, start, buf), "ascii")  # decodes the buffer without a bytes copy
-    return _RECORD_HEADER + rows if start == 0 else rows
 
 
 def cmd_simulate(args) -> dict:

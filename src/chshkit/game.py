@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple, Union
 import numpy as np
 
 from .causality import INFLUENCE_TOL, _remote_spread
-from .linalg import Substreams, as_bits, as_integer, as_probabilities, as_seed, as_tolerance
+from .linalg import Substreams, as_bits, as_integer, as_probabilities, as_tolerance
 from .tsirelson import QuantumSetup
 
 #: Default no-signaling tolerance: the influence tolerance, as both read the
@@ -269,27 +269,6 @@ def enumerate_deterministic() -> tuple[float, list[Deterministic]]:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class SimulationResult:
-    """Column arrays for a seeded batch of rounds, plus summary statistics."""
-
-    n: int
-    seed: int
-    x: np.ndarray
-    y: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-    win: np.ndarray
-
-    @property
-    def empirical_win_rate(self) -> float:
-        return float(self.win.mean())
-
-    @property
-    def empirical_score(self) -> float:
-        return 2.0 * self.empirical_win_rate - 1.0
-
-
 def _outcome_cumulatives(box: np.ndarray) -> np.ndarray:
     """Per-input-pair cumulative outcome table; rows indexed by 2x+y, columns by 2q+r."""
     cum = np.cumsum(box.transpose(2, 3, 0, 1).reshape(4, 4), axis=1)
@@ -393,9 +372,3 @@ def _drawn_ahead(chunks: Iterator[SimulationChunk]) -> Iterator[SimulationChunk]
             ahead = worker.submit(next, chunks, None)
             yield current
 
-
-def simulate_rounds(strategy: Strategy, n: int, seed: int) -> SimulationResult:
-    """Play ``n`` seeded rounds of a strategy: :func:`simulate_chunks`, joined."""
-    _, *columns = zip(*simulate_chunks(strategy, n, seed))
-    x, y, q, r = (np.concatenate(column) for column in columns)
-    return SimulationResult(n=len(x), seed=as_seed(seed), x=x, y=y, q=q, r=r, win=wins(x, y, q, r))

@@ -35,6 +35,14 @@ def as_stochastic_matrix(gamma, name: str = "gamma") -> np.ndarray:
     return as_probabilities(gamma, 2, 0, name, "have columns summing to 1")
 
 
+def _capped(gamma, name: str) -> np.ndarray:
+    """``gamma`` as a float array, rejected when a matrix side exceeds ``MAX_DIM``."""
+    g = np.asarray(gamma, dtype=float)
+    if g.ndim == 2 and max(g.shape) > MAX_DIM:
+        raise ValueError(f"{name} is {g.shape[0]}x{g.shape[1]}; sides above {MAX_DIM} are not supported")
+    return g
+
+
 @dataclass
 class DivisionReport:
     """Outcome of a division attempt: the quotient (if any) plus its residual."""
@@ -52,7 +60,8 @@ def divide_report(gamma_total, gamma_first, tol: float = DIVISION_TOL) -> Divisi
     is stochastic within ``tol`` and reconstructs ``gamma_total`` with
     max-entry error at most ``tol``.  When several quotients exist, whichever
     the least-squares solve lands on is returned (the output is not
-    canonical).
+    canonical).  A matrix with a side above ``MAX_DIM`` is rejected before
+    its probability rule, as ``dilation_report`` rejects its ``gamma``.
 
     No quotient (the CLI's ``not_divisible``) is a proof, up to ``tol``,
     only for a square, invertible ``gamma_first``: the quotient is then
@@ -65,8 +74,8 @@ def divide_report(gamma_total, gamma_first, tol: float = DIVISION_TOL) -> Divisi
     ``chshkit process`` prints, is the candidate's, accepted or not.
     """
     tol = as_tolerance(tol)
-    gt = as_stochastic_matrix(gamma_total, "gamma_total")
-    gf = as_stochastic_matrix(gamma_first, "gamma_first")
+    gt = as_stochastic_matrix(_capped(gamma_total, "gamma_total"), "gamma_total")
+    gf = as_stochastic_matrix(_capped(gamma_first, "gamma_first"), "gamma_first")
     if gt.shape[1] != gf.shape[1]:
         raise ValueError(
             "dimension mismatch: gamma_total and gamma_first must condition on the same "
@@ -138,8 +147,7 @@ def dilation_report(
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"gamma must be square, got shape {g.shape}")
-    if g.shape[0] > MAX_DIM:  # restarts this large take seconds each: fail before the first
-        raise ValueError(f"gamma is {g.shape[0]}x{g.shape[0]}; sides above {MAX_DIM} are not supported")
+    _capped(g, "gamma")  # restarts this large take seconds each: fail before the first
     try:  # the package's one probability rule, on the columns and then the rows
         clean = as_stochastic_matrix(g)
         as_probabilities(g, 2, 1, "gamma", "have rows summing to 1")

@@ -4,7 +4,10 @@ Every test prints a one-line PASS marker after its assertions; run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
+import contextlib
+import io
 import math
+import os
 import time
 from itertools import product
 
@@ -19,9 +22,9 @@ from chshkit.causality import (
     product_joint,
     swap_joint,
 )
-from chshkit.cli import format_records
+from chshkit.cli import main
+from chshkit.configio import save_strategy
 from chshkit.game import (
-    CHUNK_ROUNDS,
     Deterministic,
     NSBox,
     box_of_strategy,
@@ -31,7 +34,6 @@ from chshkit.game import (
     ns_box,
     score_from_correlators,
     score_from_loss_terms,
-    simulate_rounds,
     win_probability,
 )
 from chshkit.linalg import haar_unitary, spectral_norm
@@ -57,6 +59,17 @@ def random_box(rng):
     return box
 
 
+def simulate(tmp_path, strategy, n, seed, out=os.devnull):
+    """The report of ``chshkit simulate`` on a strategy's config, its records written to ``out``."""
+    config = tmp_path / "strategy.json"
+    save_strategy(strategy, config)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["simulate", "--config", str(config), "--n", str(n), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    return dict(line.split("=", 1) for line in stdout.getvalue().splitlines())
+
+
 def test_criterion_01_classical_bound():
     enumerate_deterministic()  # warm up so the timed run measures the work alone
     t0 = time.perf_counter()
@@ -79,12 +92,12 @@ def test_criterion_02_ns_box_score_identity():
     print(f"ACCEPTANCE 2 ns-box-score-identity: PASS (worst |score-E|={worst:.2e})")
 
 
-def test_criterion_03_pr_box():
+def test_criterion_03_pr_box(tmp_path):
     box = box_of_strategy(NSBox(1.0))
     assert win_probability(expected_score(box)) == 1.0
     assert is_no_signaling(box)
-    result = simulate_rounds(NSBox(1.0), 100_000, seed=303)
-    assert result.empirical_win_rate == 1.0
+    report = simulate(tmp_path, NSBox(1.0), 100_000, seed=303)
+    assert float(report["empirical_win_rate"]) == 1.0
     print("ACCEPTANCE 3 pr-box: PASS (exact and empirical win rate 1.0)")
 
 
@@ -200,7 +213,7 @@ def test_criterion_11_dilation():
     )
 
 
-def test_criterion_12_monte_carlo_convergence():
+def test_criterion_12_monte_carlo_convergence(tmp_path):
     n = 1_000_000
     strategies = [
         Deterministic((0, 0), (0, 0)),
@@ -210,13 +223,15 @@ def test_criterion_12_monte_carlo_convergence():
     worst = 0.0
     for k, strategy in enumerate(strategies):
         exact = win_probability(expected_score(box_of_strategy(strategy)))
-        result = simulate_rounds(strategy, n, seed=1200 + k)
-        worst = max(worst, abs(result.empirical_win_rate - exact))
+        report = simulate(tmp_path, strategy, n, seed=1200 + k)
+        worst = max(worst, abs(float(report["empirical_win_rate"]) - exact))
     assert worst < 0.002
 
-    full = simulate_rounds(NSBox(0.5), 200_000, seed=1212)
-    prefix = simulate_rounds(NSBox(0.5), 2 * CHUNK_ROUNDS, seed=1212)
-    assert format_records(full).startswith(format_records(prefix))
+    # 131 072 rounds are two whole chunks, which a longer run keeps byte for byte.
+    prefix, full = tmp_path / "prefix.csv", tmp_path / "full.csv"
+    simulate(tmp_path, NSBox(0.5), 131_072, seed=1212, out=prefix)
+    simulate(tmp_path, NSBox(0.5), 200_000, seed=1212, out=full)
+    assert full.read_bytes().startswith(prefix.read_bytes())
     print(
         f"ACCEPTANCE 12 monte-carlo-convergence: PASS "
         f"(worst |empirical-exact|={worst:.2e}, records keyed by seed and chunk)"

@@ -12,12 +12,11 @@ import pytest
 
 import chshkit
 from chshkit import game
-from chshkit.cli import format_records, main, main_entry
+from chshkit.cli import _RECORD_HEADER, _record_rows, _row_bytes, main, main_entry
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
     CHUNK_ROUNDS,
     NSBox,
-    SimulationChunk,
     as_correlation_box,
     box_of_strategy,
     expected_score,
@@ -303,6 +302,25 @@ def test_process_dilate_rejects_oversized_input_before_searching(tmp_path, capsy
     assert f"gamma is {side}x{side}; sides above {MAX_DIM} are not supported" in captured.err
 
 
+@pytest.mark.parametrize("field", ["gamma_total", "gamma_first"])
+def test_process_divide_rejects_a_side_above_max_dim(tmp_path, capsys, field):
+    side = MAX_DIM + 1
+    inputs = {"gamma_total": np.eye(MAX_DIM).tolist(), "gamma_first": np.eye(MAX_DIM).tolist()}
+    inputs[field] = np.eye(side).tolist()
+    cfg = write_json(tmp_path / "m.json", inputs)
+    assert main(["process", "--tool", "divide", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invariant violation: {field} is {side}x{side}; sides above {MAX_DIM} are not supported\n"
+
+
+def test_process_divide_accepts_a_side_of_max_dim(tmp_path, capsys):
+    cfg = write_json(tmp_path / "m.json", {"gamma_total": np.eye(MAX_DIM).tolist(),
+                                           "gamma_first": np.eye(MAX_DIM).tolist()})
+    assert main(["process", "--tool", "divide", "--config", cfg]) == 0
+    assert report_of(capsys)["verdict"] == "divisible"
+
+
 def test_unknown_kind_is_parse_error(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", {"kind": "telepathy"})
     assert main(["score", "--config", cfg]) == 2
@@ -547,15 +565,15 @@ assert not hasattr(chshkit, "no_such_name")
 assert chshkit.__all__ == [
     "CHSH_OPERATOR_CEILING", "Deterministic", "DilationReport", "DivisionReport", "ExplicitBox",
     "NSBox", "OptimizeResult", "QuantumSetup", "SharedRandomness", "SimulationChunk",
-    "SimulationResult", "Strategy", "TSIRELSON_SCORE", "box_of_strategy", "canonical_setup",
+    "Strategy", "TSIRELSON_SCORE", "box_of_strategy", "canonical_setup",
     "causally_independent", "chsh_operator", "dephase", "dilation_report", "divide_report",
     "enumerate_deterministic", "expected_score", "influences", "is_no_signaling",
     "joint_from_unitary", "non_interacting", "ns_box", "optimize", "qcor", "rotation",
-    "score_of_setup", "simulate_chunks", "simulate_rounds", "unistochastic_of", "win_probability",
+    "score_of_setup", "simulate_chunks", "unistochastic_of", "win_probability",
 ], chshkit.__all__
-retired = ["PreparationUnitary", "amplitude_representation", "dichotomic", "dictionary_prob",
-           "evolve", "is_unitary", "marginal_q", "marginal_r", "outcome_observable",
-           "prepare_state", "projector", "tensor"]
+retired = ["PreparationUnitary", "SimulationResult", "amplitude_representation", "dichotomic",
+           "dictionary_prob", "evolve", "is_unitary", "marginal_q", "marginal_r",
+           "outcome_observable", "prepare_state", "projector", "simulate_rounds", "tensor"]
 assert not [name for name in retired if hasattr(chshkit, name)]
 """
 
@@ -715,45 +733,17 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys, name, n, seed):
     assert digests == SIMULATE_DIGESTS[name, n, seed]
 
 
-def test_format_records_reads_start_as_a_non_negative_integer():
-    chunk = next(simulate_chunks(canonical_setup(), 5, 1))
-    for start, message in [(-3, "^start must be non-negative, got -3$"),
-                           (2.5, "^start must be an integer, got 2.5$"),
-                           ("1", "^start must be an integer, got '1'$")]:
-        with pytest.raises(ValueError, match=message):
-            format_records(chunk, start)
-    assert format_records(chunk, 2.0) == format_records(chunk, 2)
-
-
-@pytest.mark.parametrize("value", [-1, 2])
-def test_format_records_reads_each_column_as_bits(value):
-    zero = np.zeros(1, dtype=np.int8)
-    for name in "xyqr":
-        columns = {column: zero for column in "xyqr"} | {name: np.array([value], dtype=np.int8)}
-        with pytest.raises(ValueError, match=rf"^column {name} must hold bits \(0 or 1\), got {value}$"):
-            format_records(SimulationChunk(0, **columns))
-
-
-def test_format_records_requires_columns_of_one_length():
-    two = np.zeros(2, dtype=np.int8)
-    lengths = "^columns x, y, q, r must have one length, got 2, 2, 2, {}$"
-    for r, message in [(np.ones(1, dtype=np.int8), lengths.format(1)),
-                       (np.ones(3, dtype=np.int8), lengths.format(3)),
-                       (np.int8(0), r"^column r must be 1-d, got shape \(\)$")]:
-        with pytest.raises(ValueError, match=message):
-            format_records(SimulationChunk(0, np.array([0, 1], dtype=np.int8), two, two, r))
-
-
 @pytest.mark.parametrize("seed", [3, 2**40 + 1])
 @pytest.mark.parametrize("n", [100_005, 1_000_003])
-def test_simulate_file_is_format_records_of_each_chunk(tmp_path, capsys, n, seed):
+def test_simulate_file_is_record_rows_of_each_chunk(tmp_path, capsys, n, seed):
     # Both n cross an index width inside a chunk (10**5 and 10**6).
     cfg = simulate_config(tmp_path, "quantum")
     out = tmp_path / "r.csv"
     assert main(["simulate", "--config", cfg, "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
     data = out.read_bytes()
-    chunks = simulate_chunks(load_strategy(cfg), n, seed)
-    assert data == b"".join(format_records(chunk, chunk.start).encode() for chunk in chunks)
+    buf = np.empty(CHUNK_ROUNDS * _row_bytes(n - 1), dtype=np.uint8)
+    rows = [_record_rows(chunk, chunk.start, buf).tobytes() for chunk in simulate_chunks(load_strategy(cfg), n, seed)]
+    assert data == _RECORD_HEADER.encode() + b"".join(rows)
     assert b"\r" not in data
     raw = np.frombuffer(data, dtype=np.uint8)
     row_ends = np.flatnonzero(raw == ord("\n"))[1:]  # after the header

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chshkit import game
 from chshkit.cli import _ROW_TAILS
@@ -25,7 +27,6 @@ from chshkit.game import (
     score_from_loss_terms,
     signaling_witness,
     simulate_chunks,
-    simulate_rounds,
     win_probability,
     wins,
 )
@@ -235,31 +236,42 @@ def test_explicit_box_strategy_roundtrips_table():
     assert np.allclose(box_of_strategy(ExplicitBox(table)), table)
 
 
-def test_simulation_is_deterministic():
-    a = simulate_rounds(NSBox(0.5), 5000, seed=42)
-    b = simulate_rounds(NSBox(0.5), 5000, seed=42)
-    for field in ("x", "y", "q", "r", "win"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
+def _played(n, seed):
+    """Each chunk of a seeded ``NSBox(0.5)`` run as its start and the bytes of its four columns."""
+    return [(chunk.start, *(column.tobytes() for column in chunk[1:]))
+            for chunk in simulate_chunks(NSBox(0.5), n, seed)]
 
 
-def test_simulation_chunks_keyed_by_seed_and_index():
-    n = 3 * CHUNK_ROUNDS + 123  # spans several chunks plus a partial tail
-    a = simulate_rounds(NSBox(0.5), n, seed=7)
-    b = simulate_rounds(NSBox(0.5), 2 * CHUNK_ROUNDS, seed=7)
-    for field in ("x", "y", "q", "r", "win"):
-        assert np.array_equal(getattr(a, field)[: 2 * CHUNK_ROUNDS], getattr(b, field))
+def _won(strategy, n, seed):
+    """Rounds won in a seeded run, counted chunk by chunk."""
+    return sum(int(np.count_nonzero(wins(c.x, c.y, c.q, c.r))) for c in simulate_chunks(strategy, n, seed))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.lists(st.integers(1, 3 * CHUNK_ROUNDS + 1), min_size=2, max_size=2).map(sorted),
+       seed=st.integers(0, 2**64 - 1))
+def test_simulation_is_deterministic_and_extends_whole_chunks(n, seed):
+    short, long = n
+    played = _played(short, seed)
+    assert played == _played(short, seed)
+    assert sum(len(x) for _, x, *_ in played) == short
+    # Chunk c draws from substream c of the seed, so a longer run keeps the
+    # shorter one's whole chunks.  A partial last chunk is no prefix: its
+    # draw of two rows of ``count`` uniforms lays them out differently.
+    whole = short // CHUNK_ROUNDS
+    assert played[:whole] == _played(long, seed)[:whole]
 
 
 def test_simulation_of_perfect_box_always_wins():
-    result = simulate_rounds(NSBox(1.0), 10_000, seed=0)
-    assert result.empirical_win_rate == 1.0
+    assert _won(NSBox(1.0), 10_000, seed=0) == 10_000
 
 
-def test_simulation_records_and_summary_consistent():
-    result = simulate_rounds(Deterministic((0, 0), (0, 0)), 64, seed=1)
-    assert len(result.win) == 64
-    assert np.array_equal(result.win, (result.q ^ result.r) == result.x * result.y)
-    assert result.empirical_score == pytest.approx(2 * result.empirical_win_rate - 1)
+def test_simulation_of_a_deterministic_strategy_plays_its_functions():
+    strategy = Deterministic((0, 1), (1, 1))
+    (chunk,) = simulate_chunks(strategy, 64, seed=1)
+    assert chunk.start == 0 and len(chunk.x) == 64
+    assert np.array_equal(chunk.q, chunk.x) and np.array_equal(chunk.r, np.ones(64, dtype=np.int8))
+    assert _won(strategy, 64, seed=1) == np.count_nonzero((chunk.x ^ 1) == (chunk.x & chunk.y))
 
 
 def test_simulation_empirical_score_converges():
@@ -274,15 +286,15 @@ def test_simulation_empirical_score_converges():
     ]
     for k, strategy in enumerate(strategies):
         exact = expected_score(box_of_strategy(strategy))
-        result = simulate_rounds(strategy, n, seed=1000 + k)
-        assert abs(result.empirical_score - exact) < band
+        empirical = 2.0 * _won(strategy, n, seed=1000 + k) / n - 1.0
+        assert abs(empirical - exact) < band
 
 
 def test_simulation_validates_arguments():
-    with pytest.raises(ValueError):
-        simulate_rounds(NSBox(0.0), 0, seed=1)
-    with pytest.raises(ValueError):
-        simulate_rounds(NSBox(0.0), 10, seed=-1)
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        simulate_chunks(NSBox(0.0), 0, seed=1)
+    with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got -1$"):
+        simulate_chunks(NSBox(0.0), 10, seed=-1)
 
 
 #: The game rule written out: (x, y, q, r) -> whether the round is won.
@@ -309,18 +321,15 @@ def test_sign_table_record_rows_and_round_records_follow_the_rule():
 
 def test_simulate_rejects_a_non_integral_seed_and_keeps_an_integral_float():
     with pytest.raises(ValueError, match="seed must be an integer"):
-        simulate_rounds(NSBox(0.5), 10, seed=7.5)
-    result = simulate_rounds(NSBox(0.5), 10, seed=7.0)
-    assert type(result.seed) is int and result.seed == 7
-    assert np.array_equal(result.win, simulate_rounds(NSBox(0.5), 10, seed=7).win)
+        simulate_chunks(NSBox(0.5), 10, seed=7.5)
+    assert _played(10, 7.0) == _played(10, 7)
 
 
 def test_simulate_reads_n_as_an_integer():
-    result = simulate_rounds(NSBox(0.5), 10.0, seed=1)
-    assert type(result.n) is int and result.n == len(result.x) == 10
-    assert np.array_equal(result.win, simulate_rounds(NSBox(0.5), 10, seed=1).win)
+    played = _played(10.0, 1)
+    assert played == _played(10, 1) and len(played[0][1]) == 10
     with pytest.raises(ValueError, match=r"^n must be an integer, got 10\.5$"):
-        simulate_rounds(NSBox(0.5), 10.5, seed=1)
+        simulate_chunks(NSBox(0.5), 10.5, seed=1)
     with pytest.raises(ValueError, match="^n must be an integer"):
         simulate_chunks(NSBox(0.5), "10", seed=1)
 

@@ -61,7 +61,6 @@ UNREACHED = {
     "correlated_noise_joint": "correlated but non-interacting joint for the causal-influence acceptance check",
     "score_from_loss_terms": "one of the three score formulas kept as cross-checks",
     "score_from_correlators": "one of the three score formulas kept as cross-checks",
-    "format_records": "the README's record text of a chunk; the benchmark traces it",
 }
 
 

@@ -1,6 +1,6 @@
 """Property-based tests: config round-trips, the two quantum score routes,
 the classical ceiling on product states, qcor column sums, the CLI's exit
-codes on fuzzed configs, the chunk sampler and record formatter against
+codes on fuzzed configs, the chunk sampler and record kernel against
 their per-row oracles, and the no-signaling witness against its per-entry
 loop."""
 
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshkit.causality import causally_independent
-from chshkit.cli import _record_rows, format_records, main
+from chshkit.cli import _record_rows, _row_bytes, main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
     CHUNK_ROUNDS,
@@ -208,6 +208,14 @@ def _records_oracle(start, x, y, q, r):
     )
 
 
+def _records_text(rounds):
+    """The record text ``simulate`` writes for one chunk, the header first when it starts at 0."""
+    count = len(rounds.x)
+    buf = np.empty(count * _row_bytes(rounds.start + count - 1), dtype=np.uint8)
+    rows = str(_record_rows(rounds, rounds.start, buf), "ascii")
+    return ("round_index,x,y,q,r,win\n" if rounds.start == 0 else "") + rows
+
+
 @st.composite
 def record_chunks(draw):
     count = draw(st.integers(1, 300))
@@ -221,10 +229,10 @@ def record_chunks(draw):
 
 @PROPERTY
 @given(chunk=record_chunks())
-def test_format_records_matches_per_row_oracle(chunk):
+def test_record_rows_match_per_row_oracle(chunk):
     start, columns = chunk
     rounds = SimulationChunk(start, *(np.array(c, dtype=np.int8) for c in columns))
-    assert format_records(rounds, start) == _records_oracle(start, *columns)
+    assert _records_text(rounds) == _records_oracle(start, *columns)
 
 
 #: Record chunks whose indices reach 21 digits, past any 64-bit or 20-digit cap.
@@ -252,12 +260,12 @@ def test_record_rows_reuse_one_buffer_without_leftover_bytes(chunks):
      (10**7 - 65_530, CHUNK_ROUNDS), (123_456_789, CHUNK_ROUNDS), (10**6, 1),
      (10**19 - 30_000, CHUNK_ROUNDS)],
 )
-def test_format_records_matches_per_row_oracle_on_long_chunks(start, count):
+def test_record_rows_match_per_row_oracle_on_long_chunks(start, count):
     # Whole chunks cross many runs of every index digit and, for the first
     # four starts and the last, a change of index width.
     columns = np.random.default_rng(start).integers(0, 2, size=(4, count), dtype=np.int8)
     rounds = SimulationChunk(start, *columns)
-    assert format_records(rounds, start) == _records_oracle(start, *columns.tolist())
+    assert _records_text(rounds) == _records_oracle(start, *columns.tolist())
 
 
 def _sampler_oracle(cum, u):

@@ -404,6 +404,19 @@ def test_dilation_rejects_sides_above_max_dim_before_searching():
         dilation_report(uniform)
 
 
+@pytest.mark.parametrize(
+    "total, first, message",
+    [  # the oversized matrix is not even stochastic: the cap comes before its probability rule
+        (np.ones((2, MAX_DIM + 1)), np.eye(MAX_DIM + 1), f"^gamma_total is 2x{MAX_DIM + 1}; "),
+        (np.eye(2), np.ones((MAX_DIM + 1, 2)), f"^gamma_first is {MAX_DIM + 1}x2; "),
+    ],
+    ids=["gamma_total", "gamma_first"],
+)
+def test_divide_rejects_sides_above_max_dim_before_the_probability_rule(total, first, message):
+    with pytest.raises(ValueError, match=message + f"sides above {MAX_DIM} are not supported$"):
+        divide_report(total, first)
+
+
 def test_dilation_rejects_a_non_integral_seed():
     with pytest.raises(ValueError, match="seed must be an integer"):
         dilation_report(UNIFORMIZER, seed=0.5)
