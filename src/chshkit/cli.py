@@ -1,10 +1,10 @@
-"""Command-line surface: strategy configs in; scores, audits, simulation
-records, optimizer traces and process-tool verdicts out.
+"""Command-line surface: parse the flags, call the library, print its report.
 
-Each subcommand returns its report as an ordered dict and prints nothing;
-:func:`main` writes it as ``key=value`` lines in that order, skipping
-``None`` values.  Numbers are printed to 17 significant digits, so every
-emitted value parses back to the exact double, and matrices as compact JSON.
+Each subcommand returns its report as an ordered dict (``score``, ``audit``
+and ``simulate`` return :mod:`chshkit.game`'s ``score_report``,
+``audit_report`` and ``simulation_report``).  :func:`main` prints it as
+``key=value`` lines in order, skipping ``None``: numbers to 17 significant
+digits, each parsing back to the exact double, and matrices as compact JSON.
 Exit codes: 0 success, 2 parse error, 3 invariant violation, 4 I/O error.
 """
 
@@ -13,32 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import closing
-from itertools import product
 
 import numpy as np
 
-from . import stochastic
-from .configio import (
-    ConfigError,
-    load_process_input,
-    load_strategy,
-    payload,
-    save_strategy,
-)
-from .game import (
-    CHUNK_ROUNDS,
-    UNIFORM_INPUTS,
-    _chunks,
-    _score,
-    _witness,
-    as_input_distribution,
-    box_of_strategy,
-    win_probability,
-    wins,
-)
+from . import game, stochastic
+from .configio import ConfigError, load_process_input, load_strategy, payload, save_strategy
 from .linalg import as_seed, as_tolerance
-from .tsirelson import TSIRELSON_SCORE, QuantumSetup, optimize
+from .tsirelson import bound_margin, optimize
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -65,134 +46,21 @@ def _comma_list(spec: str, flag: str, form: str, cast, what: str) -> list:
         raise ConfigError(f"{flag} must be {what}, got {spec!r}") from exc
 
 
-def _bound_margin(score: float) -> float:
-    """Margin of a uniform-input score below the Tsirelson ceiling.
-
-    The ceiling bounds the uniform-input score, so a report about other
-    inputs still takes the margin from that score.
-    """
-    return TSIRELSON_SCORE - abs(score)
-
-
-def _score_report(strategy, box, inputs=UNIFORM_INPUTS) -> dict:
-    """The score keys of a strategy's validated box, under validated inputs;
-    the margin is for quantum setups only."""
-    score = _score(box, inputs)
-    return {
-        "exact_score": score,
-        "exact_win_probability": win_probability(score),
-        "ns_check": "pass" if _witness(box) is None else "fail",
-        "bound_margin": _bound_margin(_score(box)) if isinstance(strategy, QuantumSetup) else None,
-    }
-
-
 def cmd_score(args) -> dict:
     strategy = load_strategy(args.config)
-    inputs = UNIFORM_INPUTS
-    if args.inputs:
-        p = _comma_list(args.inputs, "--inputs", "p00,p01,p10,p11", float, "four numbers")
-        inputs = as_input_distribution(np.reshape(p, (2, 2)), "--inputs")
-    return _score_report(strategy, box_of_strategy(strategy), inputs)
-
-
-_RECORD_HEADER = "round_index,x,y,q,r,win\n"
-
-#: ASCII tail ``,x,y,q,r,win\n`` of a record row, indexed by ``8x + 4y + 2q + r``.
-_ROW_TAILS = np.array(
-    [list(f",{x},{y},{q},{r},{int(wins(x, y, q, r))}\n".encode())
-     for x, y, q, r in product((0, 1), repeat=4)],
-    dtype=np.uint8,
-)
-
-#: ``_ROW_TAILS`` padded to 16-byte rows: numpy gathers 16-byte items on a
-#: fixed-size path, about three times faster than 11-byte ones.
-_PADDED_TAILS = np.zeros((len(_ROW_TAILS), 16), dtype=np.uint8)
-_PADDED_TAILS[:, : _ROW_TAILS.shape[1]] = _ROW_TAILS
-
-
-#: ASCII of 0000-9999, row ``i`` holding the four digits of ``i``.
-_LOW_DIGITS = np.stack(np.indices((10,) * 4, dtype=np.uint8), axis=-1).reshape(10_000, 4) + ord("0")
-
-
-def _row_bytes(last: int) -> int:
-    """Bytes of the widest record row up to round index ``last``."""
-    return len(str(last)) + _ROW_TAILS.shape[1]
-
-
-def _record_rows(rounds, start: int, buf: np.ndarray) -> np.ndarray:
-    """Write the record rows of ``rounds``, numbered from ``start``, into the
-    ``uint8`` buffer ``buf`` and return its filled prefix.
-
-    ``buf`` must hold ``len(rounds.x)`` rows of the widest index among them
-    (:func:`_row_bytes`).  The rows are built in blocks of ``buf`` whose
-    round indices have the same number of digits and differ only in their
-    last four: a block's leading digits are one slice of ``str(lo)`` written
-    to every row as one void item, its last (up to four) digits are the
-    matching rows of ``_LOW_DIGITS`` copied as one void item per row, and
-    each row tail is copied as one ``V11`` item from ``_PADDED_TAILS``
-    gathered by the outcome code.  The leading digits come from a Python
-    int, so any index size is written exactly.
-    """
-    code = (8 * rounds.x + 4 * rounds.y + 2 * rounds.q + rounds.r).astype(np.intp)
-    tail = _ROW_TAILS.shape[1]
-    tails = np.take(_PADDED_TAILS, code, axis=0)[:, :tail].view(f"V{tail}")
-    lo, end, filled = start, start + len(code), 0
-    while lo < end:
-        width = len(str(lo))
-        hi = min(end, 10**width, lo - lo % 10_000 + 10_000)
-        size = (hi - lo) * (width + tail)
-        block = buf[filled : filled + size].reshape(hi - lo, width + tail)
-        k = min(width, 4)
-        lead, low = width - k, lo % 10_000
-        if lead:
-            block[:, :lead].view(f"V{lead}")[...] = np.void(str(lo)[:lead].encode())
-        block[:, lead:width].view(f"V{k}")[...] = _LOW_DIGITS[low : low + hi - lo, 4 - k :].view(f"V{k}")
-        block[:, width:].view(f"V{tail}")[...] = tails[lo - start : hi - start]
-        lo, filled = hi, filled + size
-    return buf[:filled]
+    if not args.inputs:
+        return game.score_report(strategy)
+    p = _comma_list(args.inputs, "--inputs", "p00,p01,p10,p11", float, "four numbers")
+    # Validated here too, so that a bad distribution's message names the flag.
+    return game.score_report(strategy, game.as_input_distribution(np.reshape(p, (2, 2)), "--inputs"))
 
 
 def cmd_simulate(args) -> dict:
-    strategy = load_strategy(args.config)
-    box = box_of_strategy(strategy)
-    # Checks n and the seed now, so a bad run leaves --out alone.
-    chunks = _chunks(box, args.n, args.seed)
-    buf = np.empty(min(CHUNK_ROUNDS, args.n) * _row_bytes(args.n - 1), dtype=np.uint8)
-    won = 0
-    # Closed explicitly, so an I/O error stops the chunk-drawing thread at once.
-    with closing(chunks), open(args.out, "wb") as fh:
-        fh.write(_RECORD_HEADER.encode())
-        for chunk in chunks:
-            fh.write(_record_rows(chunk, chunk.start, buf))
-            won += int(np.count_nonzero(wins(chunk.x, chunk.y, chunk.q, chunk.r)))
-    win_rate = won / args.n
-    return _score_report(strategy, box) | {
-        "empirical_score": 2.0 * win_rate - 1.0,
-        "empirical_win_rate": win_rate,
-        "n_rounds": args.n,
-        "seed": args.seed,
-    }
+    return game.simulation_report(load_strategy(args.config), args.n, args.seed, args.out)
 
 
 def cmd_audit(args) -> dict:
-    strategy = load_strategy(args.config)
-    box = box_of_strategy(strategy)
-    witness = _witness(box)
-    report = {"ns_check": "pass" if witness is None else "fail"}
-    if witness is not None:
-        report |= {
-            "ns_witness_side": witness.side,
-            "ns_witness_outcome": witness.outcome,
-            "ns_witness_own_setting": witness.own_setting,
-            "ns_witness_remote_settings": f"{witness.remote_setting_a},{witness.remote_setting_b}",
-            "ns_witness_delta": witness.delta,
-        }
-    if isinstance(strategy, QuantumSetup):
-        # Local operations enter only as a tensor product, and each factor is
-        # checked unitary on load: the joint operation factorizes by construction.
-        report["factorization"] = "pass"
-        report["bound_margin"] = _bound_margin(_score(box))
-    return report
+    return game.audit_report(load_strategy(args.config))
 
 
 def cmd_optimize(args) -> dict:
@@ -200,17 +68,16 @@ def cmd_optimize(args) -> dict:
     result = optimize(dims=dims, restarts=args.restarts, seed=args.seed, tol=args.tol)
     save_strategy(result.setup, args.out)
     trace_path = args.out + ".trace.csv"
-    rows = ["restart,score,best_so_far\n"]
-    best = -np.inf
-    for i, score in enumerate(result.restart_scores):
-        best = max(best, score)
-        rows.append(f"{i},{score:.17g},{best:.17g}\n")
     with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write("".join(rows))
+        fh.write("restart,score,best_so_far\n")
+        best = -np.inf
+        for i, score in enumerate(result.restart_scores):
+            best = max(best, score)
+            fh.write(f"{i},{score:.17g},{best:.17g}\n")
     return {
         "best_score": result.score,
-        "best_win_probability": win_probability(result.score),
-        "bound_margin": _bound_margin(result.score),
+        "best_win_probability": game.win_probability(result.score),
+        "bound_margin": bound_margin(result.score),
         "restarts": args.restarts,
         "seed": args.seed,
         "config_path": args.out,

@@ -39,6 +39,11 @@ TSIRELSON_SCORE = 1.0 / math.sqrt(2.0)
 CHSH_OPERATOR_CEILING = 2.0 * math.sqrt(2.0)
 
 
+def bound_margin(score: float) -> float:
+    """Margin of a uniform-input score (the one the ceiling bounds) below the ceiling."""
+    return TSIRELSON_SCORE - abs(score)
+
+
 def _default_outcome_map(dim: int) -> tuple[int, ...]:
     return tuple(k % 2 for k in range(dim))
 
@@ -308,8 +313,9 @@ def optimize(
     Bob's follow the same way against ``A0 +- A1``.  Each side's two responses come from one stacked
     eigendecomposition, so a round makes three.  Rounds stop once one gains
     less than ``tol``.  Restarts run in blocks of ``_RESTART_BLOCK`` (64) as
-    stacked arrays through one seesaw kernel, so memory does not grow with
-    ``restarts``; each restart's result still depends only on ``(seed, k)``.
+    stacked arrays through one seesaw kernel, so each block's arrays are bounded;
+    ``restart_scores`` and ``restart_rounds`` gain one entry per restart.
+    Each restart's result still depends only on ``(seed, k)``.
     Ties across restarts break toward the lowest restart index, so the
     result does not depend on how restarts are scheduled.  The returned
     score is the chosen restart's score as its block computed it.  Every

@@ -12,11 +12,14 @@ import pytest
 
 import chshkit
 from chshkit import game
-from chshkit.cli import _RECORD_HEADER, _record_rows, _row_bytes, main, main_entry
+from chshkit.cli import _fmt, main, main_entry
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
+    _RECORD_HEADER,
     CHUNK_ROUNDS,
     NSBox,
+    _record_rows,
+    _row_bytes,
     as_correlation_box,
     box_of_strategy,
     expected_score,
@@ -528,6 +531,28 @@ def test_report_keys_and_order(tmp_path, capsys, case):
     assert [line.partition("=")[0] for line in lines] == keys
 
 
+@pytest.mark.parametrize("case", sorted(case for case in REPORT_KEYS
+                                         if REPORT_KEYS[case][0][0] in ("score", "audit", "simulate")))
+def test_library_reports_are_the_pairs_the_cli_prints(tmp_path, capsys, case):
+    head, config, _ = REPORT_KEYS[case]
+    if config == "quantum":
+        config = strategy_config(canonical_setup())
+    cfg = write_json(tmp_path / "c.json", config)
+    argv = [str(tmp_path / "cli.csv") if arg == "OUT" else arg for arg in head]
+    assert main(argv + ["--config", cfg]) == 0
+    printed = [tuple(line.split("=", 1)) for line in capsys.readouterr().out.splitlines()]
+    command, flags, strategy = head[0], dict(zip(head[1::2], head[2::2])), load_strategy(cfg)
+    if command == "score":
+        inputs = flags.get("--inputs")
+        report = game.score_report(strategy, inputs and np.reshape([float(p) for p in inputs.split(",")], (2, 2)))
+    elif command == "audit":
+        report = game.audit_report(strategy)
+    else:
+        report = game.simulation_report(strategy, int(flags["--n"]), int(flags["--seed"]), tmp_path / "lib.csv")
+        assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
+    assert [(key, _fmt(value)) for key, value in report.items()] == printed
+
+
 def test_python_dash_m_entry_point_returns_exit_codes(tmp_path):
     env = child_env()
 
@@ -742,7 +767,7 @@ def test_simulate_file_is_record_rows_of_each_chunk(tmp_path, capsys, n, seed):
     assert main(["simulate", "--config", cfg, "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
     data = out.read_bytes()
     buf = np.empty(CHUNK_ROUNDS * _row_bytes(n - 1), dtype=np.uint8)
-    rows = [_record_rows(chunk, chunk.start, buf).tobytes() for chunk in simulate_chunks(load_strategy(cfg), n, seed)]
+    rows = [_record_rows(chunk, buf).tobytes() for chunk in simulate_chunks(load_strategy(cfg), n, seed)]
     assert data == _RECORD_HEADER.encode() + b"".join(rows)
     assert b"\r" not in data
     raw = np.frombuffer(data, dtype=np.uint8)

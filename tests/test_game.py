@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshkit import game
-from chshkit.cli import _ROW_TAILS
 from chshkit.configio import strategy_config
 from chshkit.game import (
+    _ROW_TAILS,
     _SIGN,
     CHUNK_ROUNDS,
     Deterministic,
@@ -332,6 +332,22 @@ def test_simulate_reads_n_as_an_integer():
         simulate_chunks(NSBox(0.5), 10.5, seed=1)
     with pytest.raises(ValueError, match="^n must be an integer"):
         simulate_chunks(NSBox(0.5), "10", seed=1)
+
+
+@pytest.mark.parametrize("n, seed, message", [(0, 1, "^n must be at least 1$"),
+                                               (10.5, 1, r"^n must be an integer, got 10\.5$"),
+                                               (10, -1, r"^seed must be in \[0, 2\*\*64\), got -1$")])
+def test_simulation_report_checks_n_and_seed_before_it_opens_its_path(tmp_path, n, seed, message):
+    out = tmp_path / "never.csv"
+    with pytest.raises(ValueError, match=message):
+        game.simulation_report(NSBox(0.5), n, seed, out)
+    assert not out.exists()
+
+
+def test_simulation_report_reads_n_as_an_integer(tmp_path):
+    as_float = game.simulation_report(NSBox(0.5), 10.0, 1, tmp_path / "float.csv")
+    assert as_float == game.simulation_report(NSBox(0.5), 10, 1, tmp_path / "int.csv")
+    assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "int.csv").read_bytes()
 
 
 def test_a_closed_chunk_iterator_leaves_no_thread_behind():

@@ -7,7 +7,8 @@ read somewhere in the module, as a name or as the base of an attribute.
 A test that patches a module attribute does not count as a use.  A
 top-level ``def`` or ``class`` whose name has no leading ``_`` must be read
 by some ``chshkit`` module or exported by ``chshkit.__all__``, unless
-``UNREACHED`` says why it stays.
+``UNREACHED`` says why it stays.  No module imports a ``_``-prefixed name
+from another, unless ``PRIVATE_IMPORTS`` says why it does.
 """
 
 import ast
@@ -91,3 +92,36 @@ def test_every_public_name_is_read_exported_or_allowed():
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             sources.append(fh.read())
     assert sorted(unreached_names(sources, set(chshkit.__all__))) == sorted(UNREACHED)
+
+
+#: ``(importing module, source module, name)`` of each ``_``-prefixed name one
+#: ``chshkit`` module imports from another, with the reason it stays.
+PRIVATE_IMPORTS = {
+    ("game", "causality", "_remote_spread"):
+        "the kernel shared by the no-signaling check and the causal-influence tests",
+}
+
+
+def private_imports(source: str) -> list[tuple[str, str]]:
+    """``(source module, name)`` of each ``_``-prefixed name that ``source``
+    imports by a relative import, at top level or inside a function."""
+    return [(node.module or "", alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_imports_flags_only_relative_underscore_names():
+    source = ("from ._x import a\n"
+              "from .linalg import _k, b as _c, d\n"
+              "from os import _exit\n"
+              "def f():\n"
+              "    from .game import _score\n")
+    assert private_imports(source) == [("linalg", "_k"), ("game", "_score")]
+
+
+def test_no_module_imports_a_private_name_from_another_unless_allowed():
+    found = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            found += [(module[:-3], *pair) for pair in private_imports(fh.read())]
+    assert sorted(found) == sorted(PRIVATE_IMPORTS)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chshkit.causality import causally_independent
-from chshkit.cli import _record_rows, _row_bytes, main
+from chshkit.cli import main
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
     CHUNK_ROUNDS,
@@ -28,6 +28,8 @@ from chshkit.game import (
     SignalingWitness,
     SimulationChunk,
     _outcome_cumulatives,
+    _record_rows,
+    _row_bytes,
     _simulate_chunk,
     box_of_strategy,
     expected_score,
@@ -212,7 +214,7 @@ def _records_text(rounds):
     """The record text ``simulate`` writes for one chunk, the header first when it starts at 0."""
     count = len(rounds.x)
     buf = np.empty(count * _row_bytes(rounds.start + count - 1), dtype=np.uint8)
-    rows = str(_record_rows(rounds, rounds.start, buf), "ascii")
+    rows = str(_record_rows(rounds, buf), "ascii")
     return ("round_index,x,y,q,r,win\n" if rounds.start == 0 else "") + rows
 
 
@@ -250,7 +252,7 @@ def test_record_rows_reuse_one_buffer_without_leftover_bytes(chunks):
     buf = np.full(max(len(columns[0]) for _, columns in chunks) * (widest + 11), ord("#"), dtype=np.uint8)
     for start, columns in chunks:
         rounds = SimulationChunk(start, *(np.array(c, dtype=np.int8) for c in columns))
-        rows = str(_record_rows(rounds, start, buf), "ascii")
+        rows = str(_record_rows(rounds, buf), "ascii")
         assert ("round_index,x,y,q,r,win\n" if start == 0 else "") + rows == _records_oracle(start, *columns)
 
 
