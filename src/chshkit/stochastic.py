@@ -8,6 +8,7 @@ sum to one and distributions evolve by plain matrix-vector products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,44 @@ def unistochastic_of(u) -> np.ndarray:
     return np.abs(a) ** 2
 
 
+def _chain_links_slack(gamma: np.ndarray, tol: float) -> float:
+    """Worst chain-links slack of a doubly stochastic ``gamma``, less what ``tol`` allows.
+
+    A unitary's rows ``i != k`` are orthogonal, so the ``d`` lengths
+    ``sqrt(gamma_ij * gamma_kj)`` close a polygon when ``gamma = abs(u)**2``:
+    their sum minus twice the largest, the slack, is ``>= 0``.  The same
+    holds for columns (Bengtsson, Ericsson, Kuś, Tadej & Życzkowski, Commun.
+    Math. Phys. 259, 307, 2005).  The worst slack is the least over every
+    pair of distinct rows and every pair of distinct columns.
+
+    The search accepts ``u`` once every ``x = abs(u)**2`` entry is within
+    ``t = tol`` of ``gamma``.  For two entries of a pair of rows (or
+    columns), ``sqrt(x'y') <= sqrt((x+t)(y+t)) <= sqrt(xy) + sqrt(t(x+y+t))``
+    and, the other way, ``sqrt(xy) <= sqrt(x'y') + sqrt(t(x'+y'+t))`` with
+    ``x'+y' <= x+y+2t``, so a length moves by at most
+    ``delta_j = sqrt(t(x_j+y_j+3t))``.  The sum of the ``d`` lengths moves by
+    at most ``sum(delta_j) <= sqrt(d t (2+3dt))`` (Cauchy-Schwarz, and the two
+    rows of ``x`` sum to 2), and the largest by at most
+    ``max(delta_j) <= sqrt(t(1+3t))`` (``x_j`` and ``y_j`` share a column,
+    or a row, of ``x``, so ``x_j + y_j <= 1``).  So every ``gamma`` within
+    ``tol`` of a unistochastic matrix has slack at least
+    ``-(sqrt(d t (2+3dt)) + 2 sqrt(t(1+3t)))``; ``d * 1e-12`` more covers
+    the round-off of the polar factor and of these sums, a few ``d * eps``.
+    The slack returned is offset by that floor: a negative value means no
+    unitary matches ``gamma`` within ``tol``.
+    """
+    d = gamma.shape[0]
+    floor = math.sqrt(d * tol * (2 + 3 * d * tol)) + 2 * math.sqrt(tol * (1 + 3 * tol)) + d * 1e-12
+    roots = np.sqrt(gamma)
+    i, k = np.triu_indices(d, 1)  # distinct pairs only: a row against itself need not close
+    worst = math.inf  # d = 1 has no pairs
+    for r in (roots, roots.T):
+        lengths = r[i] * r[k]
+        slack = lengths.sum(axis=1) - 2 * lengths.max(axis=1)
+        worst = min(worst, float(slack.min(initial=math.inf)))
+    return worst + floor
+
+
 @dataclass
 class DilationReport:
     """Outcome of a dilation search: the unitary (if found) plus the best residual."""
@@ -128,8 +167,17 @@ def dilation_report(
     ``abs(u)**2`` is within ``tol`` of ``gamma``.
 
     One loop holds the blocks, the find rule and the stall rule.  Restarts
-    run in lock-step blocks of 1, 2, 4, ... up to ``RESTART_BLOCK`` (64),
-    each block as one stack through one SVD per iteration.  Every 100
+    run in lock-step blocks, each block as one stack through one SVD per
+    iteration.  The blocks double, 1, 2, 4, ... up to ``RESTART_BLOCK``
+    (64), so that a search an early restart settles pays for few others;
+    once the rest fits in one block, a remainder smaller than the block
+    being formed joins it (64 restarts run as 1, 2, 4, 8, 16, 33).  An
+    input whose chain-links slack is below the floor that ``tol`` allows
+    (``_chain_links_slack``, whose docstring derives it) has no unitary
+    within ``tol``, so no restart can find and its restarts run in blocks
+    of ``RESTART_BLOCK`` from the first.  The check only picks the blocks:
+    a misjudged input gets the same report, with more or fewer restarts
+    running at once.  Every 100
     iterations a restart stops if its best residual is above 0.9 of its
     value 100 iterations earlier: it cannot reach ``tol`` in the budget.
     Once a restart finds, every restart above it leaves the block, and the
@@ -158,10 +206,14 @@ def dilation_report(
         raise ValueError("max_restarts must be positive")
     g = clean[None]  # a leading stack axis, so that a block of one broadcasts nothing
     roots = np.sqrt(g)
+    hopeless = _chain_links_slack(clean, tol) < 0  # no restart can find: skip the early blocks
     stalled_best: list[float] = []  # every restart that ran out without finding
     lo = 0
     while lo < max_restarts:
-        hi = min(2 * lo + 1, lo + RESTART_BLOCK, max_restarts)
+        size = RESTART_BLOCK if hopeless else min(lo + 1, RESTART_BLOCK)
+        hi = lo + size
+        if max_restarts - lo < min(2 * size, RESTART_BLOCK + 1):
+            hi = max_restarts  # the rest fits in one block and would leave less than this one
         draws = np.stack([rng.random(g.shape[1:]) for rng in Substreams(seed, range(lo, hi))])
         m = roots * np.exp(2j * np.pi * draws)
         best = checkpoint = [np.inf] * (hi - lo)

@@ -1,8 +1,9 @@
 """The block-batched dilation search against a one-restart-at-a-time oracle.
 
-``dilation_report`` runs its restarts in lock-step blocks of 1, 2, 4, ...
-through one stacked SVD per iteration.  The oracle below is the plain
-sequential loop: draw restart ``k``'s phases from its substream, alternate
+``dilation_report`` runs its restarts in lock-step blocks of 1, 2, 4, ...,
+or of 64 from the first when no unitary can match, through one stacked SVD
+per iteration.  The oracle below is the plain sequential loop: draw
+restart ``k``'s phases from its substream, alternate
 projections until the residual reaches ``tol`` or stalls, return the first
 restart that finds.  Every per-slice operation of the batched kernel is the
 same floating-point operation as the oracle's, so unitaries and residuals
@@ -102,9 +103,14 @@ def test_blocked_search_matches_sequential_oracle_on_haar_inputs(dim, seed):
     assert_same_report(dilation_report(gamma, max_restarts=restarts, seed=seed), want)
 
 
+@pytest.mark.parametrize("check", ["chain_links", "forced_pass"])
 @pytest.mark.parametrize("seed", SEEDS[1:])
 @pytest.mark.parametrize("gamma", [WITNESS_3X3, J_MINUS_I], ids=["witness", "j_minus_i"])
-def test_restart_counts_across_block_boundaries_match_the_oracle(gamma, seed):
+def test_restart_counts_across_block_boundaries_match_the_oracle(gamma, seed, check, monkeypatch):
+    # Both inputs fail the chain-links check and run in blocks of 64; forced
+    # to pass, they run in doubling blocks.
+    if check == "forced_pass":
+        monkeypatch.setattr(stochastic, "_chain_links_slack", lambda gamma, tol: 0.0)
     counts = (1, 2, 3, 7, 64, 65, 130)
     outcomes = oracle_restarts(gamma, DIVISION_TOL, seed, max(counts))
     assert len(outcomes) == max(counts)  # no dilation exists: every restart runs
@@ -139,3 +145,41 @@ def test_restarts_still_running_at_the_iteration_cap_count_in_the_residual(gamma
     assert all(iterations == 150 for u, _, iterations in outcomes if u is None)
     report = dilation_report(gamma, max_restarts=restarts, seed=7)
     assert_same_report(report, oracle_report(outcomes))
+
+
+#: Squared moduli of a 12x12 Haar unitary: no restart finds within 150
+#: iterations, and it passes the chain-links check.
+HAAR_12 = np.abs(haar_unitary(12, np.random.default_rng(12))) ** 2
+
+
+def svd_stack_sizes(gamma, restarts):
+    """The stack size of every SVD that one search makes, in order."""
+    sizes = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        sizes.append(m.shape[0])
+        return svd(m, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", recording_svd)
+        dilation_report(gamma, max_restarts=restarts, seed=7)
+    return sizes
+
+
+@pytest.mark.parametrize("restarts, blocks", [(64, [64]), (130, [64, 64, 2])])
+def test_an_input_no_unitary_matches_runs_full_blocks_from_the_first(restarts, blocks):
+    # Every restart on (J - I)/2 stalls at iteration 200, the first stall
+    # check that can stop it, so each block makes 200 SVDs of its full size.
+    assert svd_stack_sizes(J_MINUS_I, restarts) == [b for b in blocks for _ in range(200)]
+
+
+@pytest.mark.parametrize(
+    "restarts, blocks",
+    [(64, [1, 2, 4, 8, 16, 33]), (8, [1, 2, 5]), (100, [1, 2, 4, 8, 16, 32, 37])],
+)
+def test_a_remainder_smaller_than_the_block_being_formed_joins_it(restarts, blocks, monkeypatch):
+    # Below the first stall check, with no restart finding, every block runs
+    # to the cap at its full size.
+    monkeypatch.setattr(stochastic, "_MAX_ITERATIONS", 150)
+    assert svd_stack_sizes(HAAR_12, restarts) == [b for b in blocks for _ in range(150)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chshkit.linalg import MAX_DIM, as_probabilities, basis_state, haar_unitary, rotation
 from chshkit.stochastic import (
     DIVISION_TOL,
+    _chain_links_slack,
     as_stochastic_matrix,
     dilation_report,
     divide_report,
@@ -314,6 +315,33 @@ def test_dilation_deterministic_given_seed():
     u1 = dilation_report(UNIFORMIZER, seed=9).unitary
     u2 = dilation_report(UNIFORMIZER, seed=9).unitary
     assert np.array_equal(u1, u2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(2, 16),
+    key=st.integers(0, 2**32),
+    shift=st.sampled_from([0.0, 1.0]),
+)
+def test_no_input_within_tol_of_a_unistochastic_one_is_hopeless(dim, key, shift):
+    # Haar |U|^2, and the same moved entrywise by up to tol (kept >= 0):
+    # the search could accept either, so neither may skip the doubling blocks.
+    rng = np.random.default_rng(key)
+    gamma = unistochastic_of(haar_unitary(dim, rng))
+    moved = np.clip(gamma + shift * DIVISION_TOL * rng.choice([-1.0, 1.0], gamma.shape), 0.0, None)
+    assert _chain_links_slack(moved, DIVISION_TOL) >= 0
+
+
+def test_inputs_with_no_unitary_are_hopeless_and_tiny_ones_never():
+    j_minus_i = (np.ones((3, 3)) - np.eye(3)) / 2
+    embedded = np.eye(4)
+    embedded[:3, :3] = j_minus_i
+    for gamma in (j_minus_i, embedded, WITNESS_3X3):
+        assert _chain_links_slack(gamma, DIVISION_TOL) < 0
+    # d = 1 has no pair to check; every 2x2 doubly stochastic matrix is unistochastic.
+    assert _chain_links_slack(np.ones((1, 1)), DIVISION_TOL) >= 0
+    for a in np.linspace(0.0, 1.0, 11):
+        assert _chain_links_slack(np.array([[a, 1 - a], [1 - a, a]]), DIVISION_TOL) >= 0
 
 
 def qcor_cross_terms(u_total, u_first):
