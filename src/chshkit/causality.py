@@ -15,7 +15,8 @@ PR box from ``(|++> + i|-->) / sqrt(2)``, and every one of those steps passes
 ``non_interacting``.  What holds a ``QuantumSetup`` to the Tsirelson bound
 is its structure: Alice's unitary is indexed by her input only and Bob's by
 his.  ``audit`` reports that structure as ``factorization=pass``; it is not
-computed.
+computed.  The remote-spread kernel and ``INFLUENCE_TOL`` live in
+:mod:`chshkit.linalg`, which :mod:`chshkit.game`'s no-signaling check reads too.
 """
 
 from __future__ import annotations
@@ -24,12 +25,8 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import as_dims, as_integer, as_probabilities, as_tolerance
+from .linalg import INFLUENCE_TOL, as_dims, as_integer, as_probabilities, as_tolerance, remote_spread
 from .stochastic import as_stochastic_matrix, unistochastic_of
-
-#: Default influence tolerance; table entries are products of at most four
-#: double-precision factors.
-INFLUENCE_TOL = 1e-9
 
 Direction = Literal["r_on_q", "q_on_r"]
 
@@ -44,17 +41,8 @@ def as_joint_conditional(table, name: str = "joint") -> np.ndarray:
     return as_probabilities(table, 4, (0, 1), name, "be normalized per initial configuration")
 
 
-def _remote_spread(table: np.ndarray, side: int) -> np.ndarray:
-    """``max - min`` of one side's marginal over the remote start, as ``[outcome, own start]``.
-
-    ``table`` is a validated ``p[q_t, r_t, q_0, r_0]``; side 0 is ``q``, side 1 is ``r``.
-    """
-    m = table.sum(axis=1 - side)
-    return m.max(axis=2 - side) - m.min(axis=2 - side)
-
-
 def _independent(j: np.ndarray, tol: float) -> bool:
-    return not _remote_spread(j, 0).max() > tol and not _remote_spread(j, 1).max() > tol
+    return not remote_spread(j, 0).max() > tol and not remote_spread(j, 1).max() > tol
 
 
 def influences(joint, direction: Direction, tol: float = INFLUENCE_TOL) -> bool:
@@ -68,7 +56,7 @@ def influences(joint, direction: Direction, tol: float = INFLUENCE_TOL) -> bool:
     tol = as_tolerance(tol)
     if direction not in ("r_on_q", "q_on_r"):
         raise ValueError(f"direction must be 'r_on_q' or 'q_on_r', got {direction!r}")
-    return bool(_remote_spread(as_joint_conditional(joint), int(direction == "q_on_r")).max() > tol)
+    return bool(remote_spread(as_joint_conditional(joint), int(direction == "q_on_r")).max() > tol)
 
 
 def causally_independent(joint, tol: float = INFLUENCE_TOL) -> bool:

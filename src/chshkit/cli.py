@@ -51,8 +51,7 @@ def cmd_score(args) -> dict:
     if not args.inputs:
         return game.score_report(strategy)
     p = _comma_list(args.inputs, "--inputs", "p00,p01,p10,p11", float, "four numbers")
-    # Validated here too, so that a bad distribution's message names the flag.
-    return game.score_report(strategy, game.as_input_distribution(np.reshape(p, (2, 2)), "--inputs"))
+    return game.score_report(strategy, np.reshape(p, (2, 2)))
 
 
 def cmd_simulate(args) -> dict:

@@ -18,12 +18,10 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .causality import INFLUENCE_TOL, _remote_spread
-from .linalg import Substreams, as_bits, as_integer, as_probabilities, as_tolerance
+from .linalg import INFLUENCE_TOL, Substreams, as_bits, as_integer, as_probabilities, as_tolerance, remote_spread
 from .tsirelson import QuantumSetup, bound_margin
 
-#: Default no-signaling tolerance: the influence tolerance, as both read the
-#: same remote-spread kernel.
+#: Default no-signaling tolerance: the influence tolerance of the shared kernel.
 NO_SIGNALING_TOL = INFLUENCE_TOL
 
 #: Rounds per Monte Carlo chunk.  Chunk ``c`` draws from a substream keyed by
@@ -137,7 +135,7 @@ def signaling_witness(box, tol: float = NO_SIGNALING_TOL) -> SignalingWitness | 
 
 def _witness(b: np.ndarray, tol: float = NO_SIGNALING_TOL) -> SignalingWitness | None:
     """:func:`signaling_witness` of a validated box at a validated tolerance."""
-    spread = [_remote_spread(b, side).tolist() for side in (0, 1)]  # [side][outcome][own setting]
+    spread = [remote_spread(b, side).tolist() for side in (0, 1)]  # [side][outcome][own setting]
     out, own, side = max(product((0, 1), repeat=3), key=lambda k: spread[k[2]][k[0]][k[1]])
     delta = spread[side][out][own]
     return SignalingWitness(("alice", "bob")[side], out, own, 0, 1, delta) if delta > tol else None

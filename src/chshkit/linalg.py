@@ -3,7 +3,8 @@
 All operations are pure functions on plain numpy arrays: complex matrices,
 normalized state vectors and probability tables.  Matrices are dense and
 deliberately tiny (dimension capped at ``MAX_DIM``); everything runs in
-double precision.
+double precision.  The one influence kernel, :func:`remote_spread`, and its
+``INFLUENCE_TOL`` live here, below both ``causality`` and ``game``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ ENTRY_SLACK = 1e-12
 
 #: Tolerance on the sums that normalize a probability table.
 SUM_TOL = 1e-10
+
+#: Default influence tolerance; table entries are products of at most four
+#: double-precision factors.
+INFLUENCE_TOL = 1e-9
 
 _UINT64_MAX = (1 << 64) - 1
 
@@ -139,6 +144,16 @@ def as_probabilities(p, ndim: int, axes, name: str, what: str) -> np.ndarray:
     if dev > SUM_TOL:
         raise ValueError(f"{name} must {what} within {SUM_TOL:g} (deviation {dev:.3e})")
     return np.clip(a, 0.0, None)
+
+
+def remote_spread(table: np.ndarray, side: int) -> np.ndarray:
+    """``max - min`` of one side's marginal over the remote start, as ``[outcome, own start]``.
+
+    ``table`` is a validated ``p[q_t, r_t, q_0, r_0]``; side 0 is ``q``, side 1 is ``r``.
+    A box ``P[q, r, x, y]`` is such a table, with the inputs as starts.
+    """
+    m = table.sum(axis=1 - side)
+    return m.max(axis=2 - side) - m.min(axis=2 - side)
 
 
 def _first(bad: np.ndarray, name: str) -> tuple[tuple[int, ...], str]:

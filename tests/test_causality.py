@@ -17,7 +17,7 @@ from chshkit.causality import (
     swap_joint,
 )
 from chshkit.game import as_correlation_box
-from chshkit.linalg import basis_state, haar_unitary
+from chshkit.linalg import basis_state, haar_unitary, remote_spread
 from chshkit.stochastic import divide_report, qcor, unistochastic_of
 
 
@@ -55,7 +55,7 @@ def test_remote_spread_reads_each_side_off_its_own_marginal():
     rng = np.random.default_rng(2)
     joint = random_joint(2, 3, rng)
     for side, (own, remote) in enumerate(((2, 3), (3, 2))):
-        spread = causality._remote_spread(joint, side)
+        spread = remote_spread(joint, side)
         assert spread.shape == (own, own)
         for t in range(own):
             for start in range(own):

@@ -21,6 +21,7 @@ from chshkit.game import (
     _record_rows,
     _row_bytes,
     as_correlation_box,
+    as_input_distribution,
     box_of_strategy,
     expected_score,
     simulate_chunks,
@@ -610,6 +611,26 @@ def test_import_chshkit_imports_no_numpy_and_sets_nothing():
     assert (run.returncode, run.stderr) == (0, "")
 
 
+#: Prints the ``chshkit`` modules a fresh interpreter holds after one import.
+MODULE_SET_CHECK = """
+import sys
+import {}
+print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "chshkit")))
+"""
+
+
+def test_fresh_game_and_cli_imports_leave_causality_unloaded():
+    def loaded(module):
+        run = subprocess.run([sys.executable, "-c", MODULE_SET_CHECK.format(module)], capture_output=True,
+                             text=True, env=child_env(), timeout=60)
+        assert (run.returncode, run.stderr) == (0, "")
+        return run.stdout.split()
+
+    assert loaded("chshkit.game") == ["chshkit", "chshkit.game", "chshkit.linalg", "chshkit.tsirelson"]
+    cli_modules = loaded("chshkit.cli")
+    assert "chshkit.cli" in cli_modules and "chshkit.causality" not in cli_modules
+
+
 def test_console_script_runs_the_python_dash_m_entry():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), encoding="utf-8") as fh:
         (target,) = re.findall(r'^chshkit = "(.+)"$', fh.read(), re.M)
@@ -952,3 +973,23 @@ def test_each_report_validates_its_box_at_most_once(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(game, "as_correlation_box", counting)
     assert main(argv) == 0
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize(
+    "spec, code, err",
+    [
+        ("0.1,0.2,0.3,0.4", 0, ""),
+        ("0.5,0.5,0.5,0.5", 3, "invariant violation: inputs must sum to 1 within 1e-10 (deviation 1.000e+00)\n"),
+    ],
+)
+def test_score_validates_its_input_distribution_once(tmp_path, capsys, monkeypatch, spec, code, err):
+    calls = []
+
+    def counting(inputs, name="inputs"):
+        calls.append(name)
+        return as_input_distribution(inputs, name)
+
+    monkeypatch.setattr(game, "as_input_distribution", counting)
+    assert main(["score", "--config", simulate_config(tmp_path, "ns_box"), "--inputs", spec]) == code
+    assert calls == ["inputs"]
+    assert capsys.readouterr().err == err

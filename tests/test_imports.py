@@ -8,7 +8,8 @@ A test that patches a module attribute does not count as a use.  A
 top-level ``def`` or ``class`` whose name has no leading ``_`` must be read
 by some ``chshkit`` module or exported by ``chshkit.__all__``, unless
 ``UNREACHED`` says why it stays.  No module imports a ``_``-prefixed name
-from another, unless ``PRIVATE_IMPORTS`` says why it does.
+from another, unless ``PRIVATE_IMPORTS`` says why it does, and each
+module's relative imports are the ones ``MODULE_GRAPH`` lists.
 """
 
 import ast
@@ -96,10 +97,7 @@ def test_every_public_name_is_read_exported_or_allowed():
 
 #: ``(importing module, source module, name)`` of each ``_``-prefixed name one
 #: ``chshkit`` module imports from another, with the reason it stays.
-PRIVATE_IMPORTS = {
-    ("game", "causality", "_remote_spread"):
-        "the kernel shared by the no-signaling check and the causal-influence tests",
-}
+PRIVATE_IMPORTS = {}
 
 
 def private_imports(source: str) -> list[tuple[str, str]]:
@@ -125,3 +123,44 @@ def test_no_module_imports_a_private_name_from_another_unless_allowed():
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             found += [(module[:-3], *pair) for pair in private_imports(fh.read())]
     assert sorted(found) == sorted(PRIVATE_IMPORTS)
+
+
+#: The ``chshkit`` modules each module imports by a relative import, at top
+#: level or inside a function.  A new edge is a declared edit here.
+MODULE_GRAPH = {
+    "__init__": [],
+    "__main__": ["cli"],
+    "causality": ["linalg", "stochastic"],
+    "cli": ["configio", "game", "linalg", "stochastic", "tsirelson"],
+    "configio": ["game", "tsirelson"],
+    "game": ["linalg", "tsirelson"],
+    "linalg": [],
+    "stochastic": ["linalg"],
+    "tsirelson": ["linalg"],
+}
+
+
+def relative_imports(source: str) -> list[str]:
+    """The sibling modules ``source`` imports by a relative import, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return sorted(found)
+
+
+def test_relative_imports_reads_both_import_forms():
+    source = ("from . import game, stochastic\n"
+              "from .linalg import a, b\n"
+              "from os import path\n"
+              "def f():\n"
+              "    from .cli import main\n")
+    assert relative_imports(source) == ["cli", "game", "linalg", "stochastic"]
+
+
+def test_each_module_imports_exactly_its_pinned_modules():
+    graph = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            graph[module[:-3]] = relative_imports(fh.read())
+    assert graph == MODULE_GRAPH
