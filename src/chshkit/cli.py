@@ -111,7 +111,8 @@ def _process_report(args) -> dict:
 
 def cmd_process(args) -> dict:
     report = _process_report(args)
-    # Every tool checks every flag, read or not, after its matrices, as dilate does.
+    # Every tool checks every flag, read or not: divide and dilate check --tol before their
+    # matrices, qcor after them (here); every tool checks --restarts, then --seed, after them.
     as_tolerance(args.tol)
     if args.restarts < 1:
         raise ValueError("max_restarts must be positive")

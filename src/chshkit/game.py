@@ -358,10 +358,8 @@ def simulate_chunks(strategy: Strategy, n: int, seed: int) -> Iterator[Simulatio
     is not) and ``seed`` are checked, before the first chunk is drawn, so a
     caller can fail before it opens its output.
 
-    Where this process may run on more than one CPU, a run of more than one
-    chunk draws the next chunk on one worker thread while the caller uses
-    the current one; the chunks are the same either way.  Close the
-    iterator (or exhaust it) to stop that thread.
+    Each chunk is drawn in the caller's thread when it is asked for, so no
+    thread is ever started and a caller may stop early without closing it.
     """
     return _chunks(box_of_strategy(strategy), n, seed)
 
@@ -378,22 +376,17 @@ def _usable_cpus() -> int:
 def _chunks(box: np.ndarray, n: int, seed: int) -> Iterator[SimulationChunk]:
     """:func:`simulate_chunks` of a validated box; ``n`` and ``seed`` are checked now.
 
-    Returns a generator: nothing is drawn and no thread starts before the
-    first chunk is asked for.  With one usable CPU, or one chunk, each
-    chunk is drawn when asked for; otherwise one chunk is drawn ahead.
-    Either way only one thread ever advances the chunk generator, so its
-    one re-keyed generator is never shared.
+    Returns a plain generator: nothing is drawn before the first chunk is
+    asked for, and each chunk is drawn, from the run's one re-keyed
+    generator, by whichever thread asks for it.
     """
     n = as_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     cum = _outcome_cumulatives(box)
     rngs = Substreams(seed, range(-(-n // CHUNK_ROUNDS)))
-    chunks = (SimulationChunk(start, *_simulate_chunk(cum, rng, min(CHUNK_ROUNDS, n - start)))
-              for start, rng in zip(range(0, n, CHUNK_ROUNDS), rngs))
-    if n <= CHUNK_ROUNDS or _usable_cpus() == 1:
-        return chunks
-    return _drawn_ahead(chunks)
+    return (SimulationChunk(start, *_simulate_chunk(cum, rng, min(CHUNK_ROUNDS, n - start)))
+            for start, rng in zip(range(0, n, CHUNK_ROUNDS), rngs))
 
 
 def _drawn_ahead(chunks: Iterator[SimulationChunk]) -> Iterator[SimulationChunk]:
@@ -412,7 +405,6 @@ def _drawn_ahead(chunks: Iterator[SimulationChunk]) -> Iterator[SimulationChunk]
         while (current := ahead.result()) is not None:
             ahead = worker.submit(next, chunks, None)
             yield current
-
 
 
 _RECORD_HEADER = "round_index,x,y,q,r,win\n"
@@ -477,10 +469,16 @@ def simulation_report(strategy: Strategy, n: int, seed: int, path) -> dict:
     then one row per round) to ``path`` and return the pairs ``simulate``
     prints, in order.  The box, ``n`` and ``seed`` are checked before
     ``path`` is opened, so a bad run leaves it alone.
+
+    Where this process may run on more than one CPU, a run of more than one
+    chunk draws the next chunk on one worker thread while the current one
+    is written (:func:`_drawn_ahead`); the file is the same bytes either way.
     """
     box = box_of_strategy(strategy)
     n = as_integer(n, "n")
     chunks = _chunks(box, n, seed)
+    if n > CHUNK_ROUNDS and _usable_cpus() > 1:
+        chunks = _drawn_ahead(chunks)
     buf = np.empty(min(CHUNK_ROUNDS, n) * _row_bytes(n - 1), dtype=np.uint8)
     won = 0
     # Closed explicitly, so an I/O error stops the chunk-drawing thread at once.

@@ -73,6 +73,15 @@ def test_score_with_inputs_flag(tmp_path, capsys):
     assert float(report_of(capsys)["exact_score"]) == 1.0
 
 
+def test_score_inputs_starting_with_a_minus_sign_are_read_after_an_equals_sign(tmp_path, capsys):
+    # argparse reads "--inputs -0.1,..." as a missing value followed by a flag.
+    cfg = write_json(tmp_path / "s.json", {"kind": "ns_box", "e": 0.5})
+    assert main(["score", "--config", cfg, "--inputs=-0.1,0.5,0.3,0.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant violation: inputs: entries must be probabilities in [0, 1]\n"
+
+
 def test_score_out_of_range_parameter_is_invariant_violation(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", {"kind": "ns_box", "e": 1.5})
     assert main(["score", "--config", cfg]) == 3
@@ -428,15 +437,33 @@ def _box_payload(first_row):
         (["score"], {"kind": "mixture", "components": [[0.5, 0, 0]]}),
         (["score"], _quantum_payload(dims=[2, 2, 1])),
         (["score"], _quantum_payload(dims=[4, 1])),
+        (["score"], {"kind": "deterministic", "q_of_x": [0, 1, 0], "r_of_y": [0, 0]}),
+        (["score"], {"kind": "mixture", "components": [{"weight": 1.0, "q_of_x": [0, 0], "r_of_y": [1]}]}),
     ],
     ids=["ns_box_e", "real_entry", "complex_pair", "complex_entry", "box_table",
          "dims_null", "dims_float", "outcome_null", "box_string", "box_bool", "box_ragged",
-         "mixture_empty", "mixture_component_list", "dims_three", "dims_declared_mismatch"],
+         "mixture_empty", "mixture_component_list", "dims_three", "dims_declared_mismatch",
+         "q_of_x_three_bits", "component_r_of_y_one_bit"],
 )
 def test_malformed_config_values_are_parse_errors(tmp_path, capsys, argv_head, payload):
     cfg = write_json(tmp_path / "c.json", payload)
     assert main(argv_head + ["--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+@pytest.mark.parametrize(
+    "payload, field, got",
+    [
+        ({"kind": "deterministic", "q_of_x": [0, 1, 0], "r_of_y": [0, 0]}, "q_of_x", "[0, 1, 0]"),
+        ({"kind": "mixture", "components": [{"weight": 1.0, "q_of_x": [0, 0], "r_of_y": [1]}]},
+         "components[0].r_of_y", "[1]"),
+    ],
+    ids=["q_of_x_three_bits", "component_r_of_y_one_bit"],
+)
+def test_a_bit_list_of_the_wrong_length_names_two_bits(tmp_path, capsys, payload, field, got):
+    cfg = write_json(tmp_path / "c.json", payload)
+    assert main(["score", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"parse error: {cfg}.{field}: expected a list of two bits, got {got}\n"
 
 
 @pytest.mark.parametrize(

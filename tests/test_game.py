@@ -350,42 +350,59 @@ def test_simulation_report_reads_n_as_an_integer(tmp_path):
     assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "int.csv").read_bytes()
 
 
-def test_a_closed_chunk_iterator_leaves_no_thread_behind():
-    before = threading.active_count()
-    one = simulate_chunks(NSBox(0.5), CHUNK_ROUNDS, seed=3)
-    first = next(one)
-    assert threading.active_count() == before  # one chunk starts no thread
-    one.close()
-    chunks = simulate_chunks(NSBox(0.5), 5 * CHUNK_ROUNDS, seed=3)
-    assert threading.active_count() == before  # nothing runs before the first chunk is asked for
-    assert np.array_equal(next(chunks).x, first.x)
-    # With more than one usable CPU, the worker now draws the second chunk.
-    assert threading.active_count() == before + (game._usable_cpus() > 1)
-    chunks.close()
-    assert threading.active_count() == before
+class DrawError(Exception):
+    pass
 
 
-def test_an_error_drawing_a_chunk_reaches_the_caller_after_the_chunks_before_it(monkeypatch):
-    class DrawError(Exception):
-        pass
+def _drawing_threads(monkeypatch, fail_at=None):
+    """Patch the chunk draw to record the thread of each draw, in order, in
+    the list returned; draw number ``fail_at`` (from 0) raises ``DrawError``."""
+    draw, threads = game._simulate_chunk, []
 
-    draw = game._simulate_chunk
-    calls = []
-
-    def failing(cum, rng, count):
-        calls.append(count)
-        if len(calls) == 3:
-            raise DrawError("chunk 2 failed")
+    def recorded(cum, rng, count):
+        threads.append(threading.get_ident())
+        if len(threads) - 1 == fail_at:
+            raise DrawError(f"chunk {fail_at} failed")
         return draw(cum, rng, count)
 
-    monkeypatch.setattr(game, "_simulate_chunk", failing)
+    monkeypatch.setattr(game, "_simulate_chunk", recorded)
+    return threads
+
+
+def test_a_chunk_generator_starts_no_thread_on_more_than_one_cpu(monkeypatch):
+    monkeypatch.setattr(game, "_usable_cpus", lambda: 2)
+    threads = _drawing_threads(monkeypatch)
     before = threading.active_count()
-    chunks = simulate_chunks(NSBox(0.5), 5 * CHUNK_ROUNDS, seed=4)
-    assert [next(chunks).start, next(chunks).start] == [0, CHUNK_ROUNDS]
+    (first,) = simulate_chunks(NSBox(0.5), CHUNK_ROUNDS, seed=3)
+    chunks = simulate_chunks(NSBox(0.5), 5 * CHUNK_ROUNDS, seed=3)
+    assert threads == [threading.get_ident()]  # nothing is drawn before the first chunk is asked for
+    starts = []
+    for chunk in chunks:
+        assert threading.active_count() == before
+        starts.append(chunk.start)
+        if chunk.start == 0:
+            assert np.array_equal(chunk.x, first.x)
+    assert starts == [k * CHUNK_ROUNDS for k in range(5)]
+    assert threads == [threading.get_ident()] * 6  # every chunk is drawn in the caller's thread
+    # A caller that stops early leaves nothing running, without close().
+    assert next(simulate_chunks(NSBox(0.5), 5 * CHUNK_ROUNDS, seed=3)).start == 0
+    assert threading.active_count() == before
+
+
+def test_an_error_drawing_a_chunk_reaches_the_caller_after_the_chunks_before_it(monkeypatch, tmp_path):
+    two = tmp_path / "two.csv"
+    game.simulation_report(NSBox(0.5), 2 * CHUNK_ROUNDS, 4, two)
+    monkeypatch.setattr(game, "_usable_cpus", lambda: 2)
+    threads = _drawing_threads(monkeypatch, fail_at=2)
+    out = tmp_path / "r.csv"
+    before = threading.active_count()
     with pytest.raises(DrawError) as raised:
-        next(chunks)
+        game.simulation_report(NSBox(0.5), 5 * CHUNK_ROUNDS, 4, out)
     assert type(raised.value) is DrawError and str(raised.value) == "chunk 2 failed"
     assert threading.active_count() == before
+    assert len(threads) == 3 and threading.get_ident() not in threads  # drawn on the worker
+    # The rows of chunks 0 and 1 were written before the error reached the caller.
+    assert out.read_bytes() == two.read_bytes()
 
 
 def test_a_run_too_long_to_count_in_a_machine_word_yields_its_first_chunk():
@@ -398,7 +415,7 @@ def test_a_run_too_long_to_count_in_a_machine_word_yields_its_first_chunk():
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_run_builds_one_philox_for_all_its_chunks(monkeypatch, cpus):
+def test_a_run_builds_one_philox_for_all_its_chunks(monkeypatch, tmp_path, cpus):
     philox, built = np.random.Philox, []
 
     def counted(*args, **kwargs):
@@ -407,6 +424,12 @@ def test_a_run_builds_one_philox_for_all_its_chunks(monkeypatch, cpus):
 
     monkeypatch.setattr(game, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(np.random, "Philox", counted)
-    starts = [chunk.start for chunk in simulate_chunks(NSBox(0.5), 5 * CHUNK_ROUNDS, seed=5)]
-    assert starts == [k * CHUNK_ROUNDS for k in range(5)]
+    threads = _drawing_threads(monkeypatch)
+    before = threading.active_count()
+    report = game.simulation_report(NSBox(0.5), 5 * CHUNK_ROUNDS, 5, tmp_path / "r.csv")
+    assert report["n_rounds"] == 5 * CHUNK_ROUNDS and len(threads) == 5
     assert len(built) == 1
+    # With two CPUs a worker draws every chunk; with one, the caller does.
+    assert (set(threads) == {threading.get_ident()}) == (cpus == 1)
+    assert threading.active_count() == before
+    assert sum(1 for _ in simulate_chunks(NSBox(0.5), 5 * CHUNK_ROUNDS, seed=5)) == 5 and len(built) == 2
