@@ -128,7 +128,10 @@ def _local_dichotomic(u: np.ndarray, outcome_map: tuple[int, ...]) -> np.ndarray
 def _sum_difference(s: np.ndarray) -> np.ndarray:
     """``(s0 + s1, s0 - s1)`` of a side's two settings, on the settings axis of ``(..., 2, d, d)``."""
     s0, s1 = s[..., 0, :, :], s[..., 1, :, :]
-    return np.stack((s0 + s1, s0 - s1), axis=-3)
+    out = np.empty_like(s, order="C")
+    np.add(s0, s1, out=out[..., 0, :, :])
+    np.subtract(s0, s1, out=out[..., 1, :, :])
+    return out
 
 
 def _chsh(sa: np.ndarray, sums_b: np.ndarray) -> np.ndarray:
@@ -167,7 +170,9 @@ def _draw_starts(dims: tuple[int, int], rngs) -> tuple[np.ndarray, np.ndarray, n
     Alice's unitaries ``(n, 2, da, da)`` and Bob's ``(n, 2, db, db)``.
 
     Each generator draws the real and then the imaginary parts of the state,
-    then those of the Haar unitaries ``a0``, ``a1``, ``b0`` and ``b1``.
+    then those of the Haar unitaries ``a0``, ``a1``, ``b0`` and ``b1``.  When
+    the sides share a dimension, one stacked QR makes all four unitaries and
+    the two sides are views of its ``(n, 4, d, d)`` result.
     """
     da, db = dims
     n = da * db
@@ -175,10 +180,15 @@ def _draw_starts(dims: tuple[int, int], rngs) -> tuple[np.ndarray, np.ndarray, n
     for row, rng in zip(x, rngs):
         rng.standard_normal(out=row)
     z = x[:, :n] + 1j * x[:, n : 2 * n]
+    state = z / _row_norms(z)[:, None]
+    if da == db:
+        g = x[:, 2 * n :].reshape(-1, 4, 2, da, da)
+        u = haar_of_gaussian(g[:, :, 0] + 1j * g[:, :, 1])
+        return state, u[:, :2], u[:, 2:]
     ga = x[:, 2 * n : 2 * n + 4 * da * da].reshape(-1, 2, 2, da, da)
     gb = x[:, 2 * n + 4 * da * da :].reshape(-1, 2, 2, db, db)
     return (
-        z / _row_norms(z)[:, None],
+        state,
         haar_of_gaussian(ga[:, :, 0] + 1j * ga[:, :, 1]),
         haar_of_gaussian(gb[:, :, 0] + 1j * gb[:, :, 1]),
     )
@@ -264,15 +274,19 @@ def _seesaw_stack(a, b, alice, bob, tol: float):
 def _assert_restarts(state, a, b) -> None:
     """The state and unitary checks of ``QuantumSetup``, on a block of restarts.
 
-    One ``assert_unitaries`` call checks each side's ``(n, 2, d, d)`` stack
-    and one ``as_state_vectors`` call the states.  Only when a side fails
-    are the four fields checked one by one, in the setup's order ``a0``,
-    ``a1``, ``b0``, ``b1``, so an error names the first failing field, as
-    the setup would, and the restart's index within its block.
+    One ``assert_unitaries`` call checks the ``(n, 4, d, d)`` stack of both
+    sides when they share a dimension, else one each side's ``(n, 2, d, d)``
+    stack; one ``as_state_vectors`` call checks the states.  Only when a
+    unitary fails are the four fields checked one by one, in the setup's
+    order ``a0``, ``a1``, ``b0``, ``b1``, so an error names the first failing
+    field, as the setup would, and the restart's index within its block.
     """
     try:
-        assert_unitaries(a, "a")
-        assert_unitaries(b, "b")
+        if a.shape[-1] == b.shape[-1]:
+            assert_unitaries(np.concatenate((a, b), axis=1), "ab")
+        else:
+            assert_unitaries(a, "a")
+            assert_unitaries(b, "b")
     except ValueError:
         # The field checks make the same per-matrix tests, so one of them raises.
         for name, u in (("a0", a[:, 0]), ("a1", a[:, 1]), ("b0", b[:, 0]), ("b1", b[:, 1])):
@@ -320,9 +334,10 @@ def optimize(
     result does not depend on how restarts are scheduled.  The returned
     score is the chosen restart's score as its block computed it.  Every
     start and every result gets the checks a ``QuantumSetup`` makes, as one
-    stacked unitarity check per side and one state check per block at each
-    of the two checks; a failure raises their ``ValueError``, naming the
-    field and the restart's index within its block.
+    stacked unitarity check of both sides when they share a dimension (else
+    one per side) and one state check per block at each of the two checks;
+    a failure raises their ``ValueError``, naming the field and the
+    restart's index within its block.
     """
     da, db = as_dims(dims)
     if da < 2 or db < 2:

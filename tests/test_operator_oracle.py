@@ -115,7 +115,13 @@ def test_operator_route_matches_oracle_on_every_dims_with_constant_maps(dims):
         assert_matches_oracle(constant)
 
 
-def test_optimize_validates_each_block_once_and_builds_one_setup(monkeypatch):
+# Sides that share a dimension are checked as one (n, 4, d, d) stack per
+# check; otherwise each side's (n, 2, d, d) stack is checked on its own.
+@pytest.mark.parametrize("dims, stacks", [
+    ((2, 2), [(4, 2, 2)]),
+    ((2, 3), [(2, 2, 2), (2, 3, 3)]),
+], ids=["shared-dim", "distinct-dims"])
+def test_optimize_validates_each_block_once_and_builds_one_setup(monkeypatch, dims, stacks):
     unitaries, states, built = [], [], []
     assert_unitaries, as_state_vectors = tsirelson.assert_unitaries, tsirelson.as_state_vectors
     post_init = tsirelson.QuantumSetup.__post_init__
@@ -135,11 +141,10 @@ def test_optimize_validates_each_block_once_and_builds_one_setup(monkeypatch):
     monkeypatch.setattr(tsirelson, "assert_unitaries", counting_assert_unitaries)
     monkeypatch.setattr(tsirelson, "as_state_vectors", counting_as_state_vectors)
     monkeypatch.setattr(tsirelson.QuantumSetup, "__post_init__", counting_post_init)
-    result = tsirelson.optimize((2, 2), restarts=tsirelson._RESTART_BLOCK + 5)
+    result = tsirelson.optimize(dims, restarts=tsirelson._RESTART_BLOCK + 5)
     assert len(result.restart_scores) == tsirelson._RESTART_BLOCK + 5
-    # One stack per side, on the starts and on the results, of each of the two blocks.
-    assert len(unitaries) == 2 * 2 * 2
-    sizes = [tsirelson._RESTART_BLOCK] * 4 + [5] * 4
-    assert [args[0].shape for args in unitaries] == [(n, 2, 2, 2) for n in sizes]
+    # The same stacks on the starts and on the results, of each of the two blocks.
+    sizes = [tsirelson._RESTART_BLOCK] * 2 + [5] * 2
+    assert [args[0].shape for args in unitaries] == [(n, *stack) for n in sizes for stack in stacks]
     assert len(states) == 2 * 2
     assert len(built) == 1 and built[0] is result.setup

@@ -124,7 +124,7 @@ def test_batched_optimize_matches_sequential_oracle_exactly(dims, tol, seed):
     assert_same_setup(result.setup, setup)
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3)])
 def test_restart_scores_do_not_depend_on_the_block_a_restart_runs_in(dims):
     few, many = 10, _RESTART_BLOCK + 10
     short, long = optimize(dims, restarts=few, seed=5), optimize(dims, restarts=many, seed=5)
@@ -206,11 +206,17 @@ def nan_state(state, a, b):
     state[0] = np.nan
 
 
+# Sides of one dimension are checked as one stack, sides of two as one each;
+# both paths must raise the error the setup would.
+CHECK_DIMS = [(2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("dims", CHECK_DIMS)
 @pytest.mark.parametrize("how", [non_unitary, nan_unitary, inf_unitary, unnormalized, nan_state])
-def test_block_checks_raise_the_per_setup_error_on_a_bad_start(monkeypatch, how):
+def test_block_checks_raise_the_per_setup_error_on_a_bad_start(monkeypatch, how, dims):
     seen = corrupt_start(monkeypatch, 3, how)
     with pytest.raises(ValueError) as excinfo:
-        optimize((2, 2), restarts=6, seed=1)
+        optimize(dims, restarts=6, seed=1)
     assert str(excinfo.value) == seen["error"]
 
 
@@ -252,6 +258,7 @@ def nan_entry(u):
 # Two restarts of one block fail in different fields, or in one field in
 # different ways; the error names the field a setup checks first (a0, a1, b0,
 # b1, then the state), and within that field the lowest restart.
+@pytest.mark.parametrize("dims", CHECK_DIMS)
 @pytest.mark.parametrize("stage", ["_draw_starts", "_seesaw_stack"])
 @pytest.mark.parametrize("marks, restart, want", [
     ([("a1", 0, scaled), ("a0", 3, scaled)], 3, "a0[3] is not unitary within"),
@@ -260,7 +267,7 @@ def nan_entry(u):
     ([("b0", 0, nan_entry), ("a1", 4, scaled)], 4, "a1[4] is not unitary within"),
     ([("state", 0, scaled), ("b1", 5, scaled)], 5, "b1[5] is not unitary within"),
 ])
-def test_a_block_error_names_the_first_field_in_setup_order(monkeypatch, stage, marks, restart, want):
+def test_a_block_error_names_the_first_field_in_setup_order(monkeypatch, stage, marks, restart, want, dims):
     step, seen = getattr(tsirelson, stage), {}
 
     def corrupted(*args):
@@ -273,7 +280,7 @@ def test_a_block_error_names_the_first_field_in_setup_order(monkeypatch, stage, 
 
     monkeypatch.setattr(tsirelson, stage, corrupted)
     with pytest.raises(ValueError) as excinfo:
-        optimize((2, 2), restarts=6, seed=1)
+        optimize(dims, restarts=6, seed=1)
     assert str(excinfo.value) == seen["error"]
     assert seen["error"].startswith(want)
 

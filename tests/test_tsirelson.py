@@ -170,6 +170,21 @@ def test_local_dichotomic_of_a_stack_is_the_stack_of_each():
         assert np.allclose(stacked[k], tsirelson._local_dichotomic(u, setup.alice_outcome), atol=1e-15)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sum_difference_is_bitwise_the_stacked_sum_and_difference(d):
+    rng = np.random.default_rng(d)
+    s = rng.standard_normal((6, 2, d, d)) + 1j * rng.standard_normal((6, 2, d, d))
+    # One side's pair, a block of pairs, fancy-indexed rows and strided views.
+    for stack in (s[0], s, s[[4, 1, 3]], s[::2], s.swapaxes(-1, -2), s[0].real):
+        want = np.stack((stack[..., 0, :, :] + stack[..., 1, :, :],
+                         stack[..., 0, :, :] - stack[..., 1, :, :]), axis=-3)
+        got = tsirelson._sum_difference(stack)
+        assert got.dtype == want.dtype and got.shape == want.shape == stack.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()  # signed zeros too
+        assert not np.shares_memory(got, stack)
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
 def test_chsh_operator_matches_manual_kron_of_local_observables(dims):
     setup = random_setup(dims, np.random.default_rng(sum(dims)))
