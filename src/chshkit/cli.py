@@ -48,10 +48,11 @@ def _comma_list(spec: str, flag: str, form: str, cast, what: str) -> list:
 
 def cmd_score(args) -> dict:
     strategy = load_strategy(args.config)
-    if not args.inputs:
-        return game.score_report(strategy)
-    p = _comma_list(args.inputs, "--inputs", "p00,p01,p10,p11", float, "four numbers")
-    return game.score_report(strategy, np.reshape(p, (2, 2)))
+    inputs = None
+    if args.inputs is not None:
+        p = _comma_list(args.inputs, "--inputs", "p00,p01,p10,p11", float, "four numbers")
+        inputs = np.reshape(p, (2, 2))
+    return game.score_report(strategy, inputs)
 
 
 def cmd_simulate(args) -> dict:
@@ -84,7 +85,12 @@ def cmd_optimize(args) -> dict:
     }
 
 
-def _process_report(args) -> dict:
+def cmd_process(args) -> dict:
+    # `process` checks --tol, --restarts and --seed, in that order and for every tool, before it reads --config.
+    as_tolerance(args.tol)
+    if args.restarts < 1:
+        raise ValueError("max_restarts must be positive")
+    as_seed(args.seed)
     if args.tool == "qcor":
         data = load_process_input(args.config, {"u_total": "complex", "u_first": "complex"})
         result = stochastic.qcor(data["u_total"], data["u_first"])
@@ -107,17 +113,6 @@ def _process_report(args) -> dict:
         "residual": report.residual,
         "result": None if found is None else payload(found),
     }
-
-
-def cmd_process(args) -> dict:
-    report = _process_report(args)
-    # Every tool checks every flag, read or not: divide and dilate check --tol before their
-    # matrices, qcor after them (here); every tool checks --restarts, then --seed, after them.
-    as_tolerance(args.tol)
-    if args.restarts < 1:
-        raise ValueError("max_restarts must be positive")
-    as_seed(args.seed)
-    return report
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chshkit
-from chshkit import game
+from chshkit import cli, game, stochastic
 from chshkit.cli import _fmt, main, main_entry
 from chshkit.configio import load_strategy, save_strategy, strategy_config
 from chshkit.game import (
@@ -71,6 +71,12 @@ def test_score_with_inputs_flag(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", {"kind": "deterministic", "q_of_x": [0, 0], "r_of_y": [0, 0]})
     assert main(["score", "--config", cfg, "--inputs", "1,0,0,0"]) == 0
     assert float(report_of(capsys)["exact_score"]) == 1.0
+
+
+def test_score_empty_inputs_is_parse_error(tmp_path, capsys):
+    cfg = write_json(tmp_path / "s.json", {"kind": "ns_box", "e": 0.5})
+    assert main(["score", "--config", cfg, "--inputs", ""]) == 2
+    assert capsys.readouterr() == ("", "parse error: --inputs must be 'p00,p01,p10,p11', got ''\n")
 
 
 def test_score_inputs_starting_with_a_minus_sign_are_read_after_an_equals_sign(tmp_path, capsys):
@@ -380,6 +386,62 @@ def test_process_checks_every_flag_for_every_tool(tmp_path, capsys, tool, flags,
     cfg = write_json(tmp_path / "m.json", _PROCESS_PAYLOADS[tool])
     assert main(["process", "--tool", tool, "--config", cfg] + flags) == 3
     assert capsys.readouterr() == ("", f"invariant violation: {message}\n")
+
+
+_BAD_PROCESS_CONFIGS = {
+    "missing_file": None,
+    "malformed_json": "{not json",
+    "missing_field": {"dilate": {"gam": [[1.0]]}, "divide": {"gamma_total": [[1.0]]}, "qcor": {"u_total": [[1.0]]}},
+    "failing_invariant": {
+        "dilate": {"gamma": [[1.0, 0.0], [1.0, 0.0]]},
+        "divide": {"gamma_total": [[0.5, 0.5], [0.6, 0.4]], "gamma_first": [[1.0, 0.0], [0.0, 1.0]]},
+        "qcor": {"u_total": [[1.0, 1.0], [0.0, 1.0]], "u_first": [[1.0, 0.0], [0.0, 1.0]]},
+    },
+}
+_BAD_PROCESS_FLAGS = {
+    "tol_nan": (["--tol", "nan"], "tol must be finite and positive, got nan"),
+    "restarts_0": (["--restarts", "0"], "max_restarts must be positive"),
+    "seed_-1": (["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+}
+
+
+@pytest.mark.parametrize("tool", sorted(_PROCESS_PAYLOADS))
+@pytest.mark.parametrize("fault", sorted(_BAD_PROCESS_CONFIGS))
+@pytest.mark.parametrize("flag", sorted(_BAD_PROCESS_FLAGS))
+def test_process_rejects_a_bad_flag_before_reading_its_config(tmp_path, capsys, tool, fault, flag):
+    bad = _BAD_PROCESS_CONFIGS[fault]
+    cfg = tmp_path / "m.json"
+    if isinstance(bad, str):
+        cfg.write_text(bad)
+    elif bad is not None:
+        write_json(cfg, bad[tool])
+    flags, message = _BAD_PROCESS_FLAGS[flag]
+    assert main(["process", "--tool", tool, "--config", str(cfg)] + flags) == 3
+    assert capsys.readouterr() == ("", f"invariant violation: {message}\n")
+
+
+@pytest.mark.parametrize("tool", sorted(_PROCESS_PAYLOADS))
+@pytest.mark.parametrize("flag", sorted(_BAD_PROCESS_FLAGS))
+def test_process_runs_no_tool_on_a_bad_flag(tmp_path, capsys, monkeypatch, tool, flag):
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(cli, "load_process_input")
+    for name in ("divide_report", "dilation_report", "qcor"):
+        counted(stochastic, name)
+    cfg = write_json(tmp_path / "m.json", _PROCESS_PAYLOADS[tool])
+    assert main(["process", "--tool", tool, "--config", cfg] + _BAD_PROCESS_FLAGS[flag][0]) == 3
+    assert calls == []
+    assert main(["process", "--tool", tool, "--config", cfg]) == 0
+    assert calls == ["load_process_input", {"divide": "divide_report", "dilate": "dilation_report"}.get(tool, tool)]
 
 
 def test_optimize_nan_tol_is_invariant_violation(tmp_path, capsys):
