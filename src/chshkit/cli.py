@@ -36,14 +36,20 @@ def _fmt(value) -> str:
 
 
 def _comma_list(spec: str, flag: str, form: str, cast, what: str) -> list:
-    """``spec`` split on commas into one ``cast`` value per field of ``form``."""
+    """``spec`` split on commas into one ``cast`` value per field of ``form``.
+
+    A field may carry whitespace around it but no ``_``, which Python's ``int``
+    and ``float`` read as digit grouping (``1_0`` is 10).
+    """
     parts = spec.split(",")
     if len(parts) != len(form.split(",")):
         raise ConfigError(f"{flag} must be {form!r}, got {spec!r}")
-    try:
-        return [cast(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} must be {what}, got {spec!r}") from exc
+    if "_" not in spec:
+        try:
+            return [cast(p) for p in parts]
+        except ValueError:
+            pass
+    raise ConfigError(f"{flag} must be {what}, got {spec!r}")
 
 
 def cmd_score(args) -> dict:
@@ -89,7 +95,7 @@ def cmd_process(args) -> dict:
     # `process` checks --tol, --restarts and --seed, in that order and for every tool, before it reads --config.
     as_tolerance(args.tol)
     if args.restarts < 1:
-        raise ValueError("max_restarts must be positive")
+        raise ValueError("restarts must be positive")
     as_seed(args.seed)
     if args.tool == "qcor":
         data = load_process_input(args.config, {"u_total": "complex", "u_first": "complex"})

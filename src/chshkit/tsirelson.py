@@ -222,7 +222,7 @@ def _best_response(m: np.ndarray, outcome_map: tuple[int, ...]):
 
 
 #: Round cap for one seesaw restart; rounds normally stop far earlier, once a
-#: round gains less than ``tol``.
+#: round gains less than ``tol`` or ends within ``tol`` of the ceiling.
 _MAX_ROUNDS = 1000
 
 
@@ -238,10 +238,12 @@ def _seesaw_stack(a, b, alice, bob, tol: float):
     takes each side's ``_sum_difference`` once: Bob's feed both the CHSH
     operator and Alice's partial trace, Alice's Bob's partial trace.  Each
     round runs only the restarts still active, as views of the whole stack
-    until the first one freezes; a restart freezes with the state and
-    unitaries of the round that gained less than ``tol``.  Returns the
-    states, the unitaries, and the number of rounds each restart ran
-    (``_MAX_ROUNDS`` for one that hit the cap).
+    until the first one freezes.  A restart freezes with the state and
+    unitaries of the round that gained less than ``tol``, or that ended within
+    ``tol`` of ``TSIRELSON_SCORE``: no setup scores above that ceiling, so a
+    further round could not gain ``tol``.  Returns the states, the unitaries,
+    and the number of rounds each restart ran (1 for one that reached the
+    ceiling in its first round, ``_MAX_ROUNDS`` for one that hit the cap).
     """
     a, b = a.copy(), b.copy()
     n, da, db = a.shape[0], a.shape[-1], b.shape[-1]
@@ -260,7 +262,7 @@ def _seesaw_stack(a, b, alice, bob, tol: float):
         b_new, maxima = _best_response(_T(psi_h @ _sum_difference(sa) @ psi), bob)
         a[active], b[active] = a_new, b_new
         score = (maxima[:, 0] + maxima[:, 1]) / 4.0
-        going = ~(score - best < tol)
+        going = ~((score - best < tol) | (TSIRELSON_SCORE - score < tol))
         if not going.all():
             index = np.arange(n)[active]
             rounds[index[~going]] = round_
@@ -297,8 +299,9 @@ def _assert_restarts(state, a, b) -> None:
 @dataclass
 class OptimizeResult:
     """Best setup found, its score, and per restart in order the best score
-    and the number of seesaw rounds (``_MAX_ROUNDS`` for a restart that hit
-    the round cap).
+    and the number of seesaw rounds: 1 for a restart that reached the
+    ceiling, within ``tol``, in its first round, ``_MAX_ROUNDS`` for one that
+    hit the round cap.
 
     There is no time per restart: restarts run in lock-step blocks, so a
     restart's own time is not measured.
@@ -326,7 +329,9 @@ def optimize(
     her partial trace of the state against Bob's combination ``B0 +- B1``;
     Bob's follow the same way against ``A0 +- A1``.  Each side's two responses come from one stacked
     eigendecomposition, so a round makes three.  Rounds stop once one gains
-    less than ``tol``.  Restarts run in blocks of ``_RESTART_BLOCK`` (64) as
+    less than ``tol`` or ends within ``tol`` of ``TSIRELSON_SCORE``, which no
+    setup exceeds; a restart that reaches the ceiling in its first round
+    reports 1 in ``restart_rounds``.  Restarts run in blocks of ``_RESTART_BLOCK`` (64) as
     stacked arrays through one seesaw kernel, so each block's arrays are bounded;
     ``restart_scores`` and ``restart_rounds`` gain one entry per restart.
     Each restart's result still depends only on ``(seed, k)``.

@@ -73,6 +73,16 @@ def test_score_with_inputs_flag(tmp_path, capsys):
     assert float(report_of(capsys)["exact_score"]) == 1.0
 
 
+def test_comma_list_fields_may_carry_whitespace(tmp_path, capsys):
+    cfg = write_json(tmp_path / "s.json", {"kind": "deterministic", "q_of_x": [0, 0], "r_of_y": [0, 0]})
+    assert main(["score", "--config", cfg, "--inputs", " 1, 0 ,0,0 "]) == 0
+    assert float(report_of(capsys)["exact_score"]) == 1.0
+    assert main(["optimize", "--dims", " 2 ,3", "--restarts", "1", "--seed", "1",
+                 "--out", str(tmp_path / "o.json")]) == 0
+    setup = load_strategy(str(tmp_path / "o.json"))
+    assert (setup.dim_a, setup.dim_b) == (2, 3)
+
+
 def test_score_empty_inputs_is_parse_error(tmp_path, capsys):
     cfg = write_json(tmp_path / "s.json", {"kind": "ns_box", "e": 0.5})
     assert main(["score", "--config", cfg, "--inputs", ""]) == 2
@@ -378,7 +388,7 @@ def test_negative_seed_is_invariant_violation(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "flags, message",
     [(["--seed", str(2**64)], "seed must be in [0, 2**64), got 18446744073709551616"),
-     (["--restarts", "0"], "max_restarts must be positive"),
+     (["--restarts", "0"], "restarts must be positive"),
      (["--tol", "0"], "tol must be finite and positive, got 0.0")],
     ids=["seed_2_64", "restarts_0", "tol_0"],
 )
@@ -400,7 +410,7 @@ _BAD_PROCESS_CONFIGS = {
 }
 _BAD_PROCESS_FLAGS = {
     "tol_nan": (["--tol", "nan"], "tol must be finite and positive, got nan"),
-    "restarts_0": (["--restarts", "0"], "max_restarts must be positive"),
+    "restarts_0": (["--restarts", "0"], "restarts must be positive"),
     "seed_-1": (["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
 }
 
@@ -1034,6 +1044,9 @@ def test_simulate_on_one_cpu_draws_inline_and_writes_the_pinned_outputs(tmp_path
         ("score", "0.25,0.25,x,0.5", "--inputs must be four numbers, got '0.25,0.25,x,0.5'"),
         ("optimize", "2,2,2", "--dims must be 'dim_a,dim_b', got '2,2,2'"),
         ("optimize", "2,2.5", "--dims must be two integers, got '2,2.5'"),
+        ("score", "1_0,0,0,0", "--inputs must be four numbers, got '1_0,0,0,0'"),
+        ("score", "0.2_5,0.25,0.25,0.25", "--inputs must be four numbers, got '0.2_5,0.25,0.25,0.25'"),
+        ("optimize", "1_0,2", "--dims must be two integers, got '1_0,2'"),
     ],
 )
 def test_comma_list_flags_name_their_form(tmp_path, capsys, command, spec, message):

@@ -20,6 +20,10 @@ from chshkit.tsirelson import _MAX_ROUNDS, _RESTART_BLOCK, QuantumSetup, optimiz
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)]
 
+#: The score no causally local setup exceeds, 1/sqrt(2), written out here
+#: rather than read from ``tsirelson``.
+CEILING = 1.0 / math.sqrt(2.0)
+
 
 def oracle_haar(dim, rng):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -55,7 +59,7 @@ def oracle_best_response(m, outcome_map):
     return u, float(values[minus:].sum() - values[:minus].sum())
 
 
-def oracle_seesaw(setup, tol):
+def oracle_seesaw(setup, tol, ceiling=CEILING):
     da, db = setup.dim_a, setup.dim_b
     alice, bob = setup.alice_outcome, setup.bob_outcome
     a, b = (setup.a0, setup.a1), (setup.b0, setup.b1)
@@ -70,7 +74,7 @@ def oracle_seesaw(setup, tol):
         responses = [oracle_best_response((psi.conj().T @ d @ psi).T, bob) for d in (sa0 + sa1, sa0 - sa1)]
         b = tuple(u for u, _ in responses)
         score = sum(value for _, value in responses) / 4.0
-        if score - best < tol:
+        if score - best < tol or ceiling - score < tol:
             break
         best = score
     return QuantumSetup(state, a[0], a[1], b[0], b[1], alice, bob), rounds
@@ -88,11 +92,11 @@ def philox(seed, k):
     return np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
 
 
-def oracle_optimize(dims, restarts, seed, tol=1e-9):
+def oracle_optimize(dims, restarts, seed, tol=1e-9, ceiling=CEILING):
     best, best_score, scores, rounds = None, -math.inf, [], []
     for restart in range(restarts):
         start = oracle_random_setup(dims, philox(seed, restart))
-        setup, ran = oracle_seesaw(start, tol)
+        setup, ran = oracle_seesaw(start, tol, ceiling)
         score = oracle_score(setup)
         scores.append(score)
         rounds.append(ran)
@@ -108,16 +112,21 @@ def assert_same_setup(got, want):
     assert got.bob_outcome == want.bob_outcome
 
 
-# At the default tol every restart here stops after two rounds; at 1e-15 some
-# run a third, so restarts of one block freeze at different rounds.  The seeds
-# are both ends of the seed range and one between.
+# At the default tol every restart here reaches the ceiling in its first round
+# and stops there.  At 1e-15 a few run a second round, at (3, 3) and (4, 4)
+# only, so restarts of one block freeze at different rounds.  With no ceiling
+# every restart stops on the gain rule alone, after two rounds or more.  The
+# seeds are both ends of the seed range and one between.
 @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
 @pytest.mark.parametrize("tol", [1e-9, 1e-15])
 @pytest.mark.parametrize("dims", DIMS)
-def test_batched_optimize_matches_sequential_oracle_exactly(dims, tol, seed):
+@pytest.mark.parametrize("ceiling", [CEILING, math.inf], ids=["ceiling", "no_ceiling"])
+def test_batched_optimize_matches_sequential_oracle_exactly(monkeypatch, ceiling, dims, tol, seed):
+    if ceiling == math.inf:
+        monkeypatch.setattr(tsirelson, "TSIRELSON_SCORE", math.inf)
     restarts = _RESTART_BLOCK + 5  # crosses a block boundary
     result = optimize(dims, restarts=restarts, seed=seed, tol=tol)
-    setup, score, scores, rounds = oracle_optimize(dims, restarts, seed, tol)
+    setup, score, scores, rounds = oracle_optimize(dims, restarts, seed, tol, ceiling)
     assert result.restart_scores == scores
     assert result.restart_rounds == rounds
     assert result.score == score
@@ -141,7 +150,10 @@ def test_random_setup_matches_the_sequential_draws():
 
 def test_restart_rounds_report_the_round_each_restart_froze_at(monkeypatch):
     result = optimize((2, 3), restarts=12, seed=4)
-    assert len(result.restart_rounds) == 12
+    assert result.restart_rounds == [1] * 12  # each reached the ceiling in its first round
+    assert all(CEILING - score < 1e-9 for score in result.restart_scores)
+    monkeypatch.setattr(tsirelson, "TSIRELSON_SCORE", math.inf)  # the gain rule alone
+    result = optimize((2, 3), restarts=12, seed=4)
     assert all(isinstance(r, int) and 2 <= r < _MAX_ROUNDS for r in result.restart_rounds)
     monkeypatch.setattr(tsirelson, "_MAX_ROUNDS", 1)  # the first round always gains
     assert optimize((2, 3), restarts=12, seed=4).restart_rounds == [1] * 12
